@@ -4,8 +4,8 @@
 // process starts with every previously-tuned (geometry, precision, batch,
 // grid, jobs) cell already decided.
 //
-// Layout mirrors serve/model_snapshot's framing conventions (all integers
-// little-endian, every payload byte checksummed, exact EOF):
+// Framing is common/framed_file's, shared with serve/model_snapshot (all
+// integers little-endian, every payload byte checksummed, exact EOF):
 //
 //   header   magic "LOOMTUNE" (8) | version u32 | section_count u32 (= 2)
 //   section  id u32 | length u64 | fnv1a64(payload) u64 | payload bytes
@@ -17,16 +17,17 @@
 // SIMD override, or against a different backend roster decodes cleanly but
 // fails the key check — stale and foreign caches are rejected as a typed
 // AutotuneCacheError (common/error.hpp), never silently trusted, and a
-// rejected load leaves the in-memory autotuner untouched. Same story for
-// truncation, bit flips and version skew (fuzz-pinned by
+// rejected load leaves the in-memory autotuner untouched (a cache from a
+// build with another tunable roster is foreign: the process starts cold).
+// Same story for truncation, bit flips and version skew (fuzz-pinned by
 // tests/test_autotune_cache.cpp).
 //
-// Writes are crash-safe: save writes `<path>.tmp` and renames over `path`
-// only after a successful full write.
+// Writes are crash-safe (common/framed_file): save writes `<path>.tmp` and
+// renames over `path` only after a successful full write.
 //
-// Wiring: LOOM_AUTOTUNE_CACHE=<path> names the cache file. The functional
-// engines and the inference server call init_autotune_cache_from_env() at
-// construction — first call loads the file (a missing or rejected cache
+// Wiring: LOOM_AUTOTUNE_CACHE=<path> names the cache file. The layer
+// dispatcher (under "auto") and the inference server call
+// init_autotune_cache_from_env() at construction — first call loads the file (a missing or rejected cache
 // logs and proceeds cold) and registers an atexit flush, so winners learned
 // in this process persist for the next one.
 #pragma once

@@ -1,6 +1,7 @@
 #include "sim/backend.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <deque>
 #include <map>
@@ -13,6 +14,7 @@
 #include "arch/tile.hpp"
 #include "common/error.hpp"
 #include "nn/im2col.hpp"
+#include "sim/autotune_cache.hpp"
 #include "sim/functional.hpp"
 #include "sim/lut_engine.hpp"
 
@@ -72,9 +74,21 @@ class ScalarBackend final : public FunctionalBackend {
     return st;
   }
 
-  void run_fc(const nn::Layer& layer, const nn::Tensor& input,
+  void run_fc_batch(const nn::Layer& layer,
+                    std::span<const nn::Tensor* const> inputs,
+                    const nn::Tensor& weights, int weight_precision,
+                    std::span<nn::WideTensor* const> wides) override {
+    LOOM_EXPECTS(!inputs.empty() && inputs.size() == wides.size());
+    for (std::size_t r = 0; r < inputs.size(); ++r) {
+      fc_one(layer, *inputs[r], weights, weight_precision, *wides[r]);
+    }
+  }
+
+ private:
+  /// One request's FC layer through a fresh SIP per lane chunk.
+  void fc_one(const nn::Layer& layer, const nn::Tensor& input,
               const nn::Tensor& weights, int weight_precision,
-              nn::WideTensor& wide) override {
+              nn::WideTensor& wide) const {
     const std::int64_t ci = layer.in.elements();
     const arch::SipConfig sip_cfg{ctx_.lanes, /*act_signed=*/true,
                                   /*weight_signed=*/true};
@@ -99,17 +113,6 @@ class ScalarBackend final : public FunctionalBackend {
     }
   }
 
-  void run_fc_batch(const nn::Layer& layer,
-                    std::span<const nn::Tensor* const> inputs,
-                    const nn::Tensor& weights, int weight_precision,
-                    std::span<nn::WideTensor* const> wides) override {
-    LOOM_EXPECTS(!inputs.empty() && inputs.size() == wides.size());
-    for (std::size_t r = 0; r < inputs.size(); ++r) {
-      run_fc(layer, *inputs[r], weights, weight_precision, *wides[r]);
-    }
-  }
-
- private:
   /// Gather the window values of one (group, window) at inner positions
   /// [base, base+lanes) with zero padding, matching im2col order.
   static std::int64_t gather_window_chunk(const nn::Layer& layer,
@@ -241,12 +244,6 @@ class BitsliceBackend final : public FunctionalBackend {
     return engine_.run_conv_batch(layer, inputs, weights, spec, wides);
   }
 
-  void run_fc(const nn::Layer& layer, const nn::Tensor& input,
-              const nn::Tensor& weights, int weight_precision,
-              nn::WideTensor& wide) override {
-    engine_.run_fc(layer, input, weights, weight_precision, wide);
-  }
-
   void run_fc_batch(const nn::Layer& layer,
                     std::span<const nn::Tensor* const> inputs,
                     const nn::Tensor& weights, int weight_precision,
@@ -259,29 +256,21 @@ class BitsliceBackend final : public FunctionalBackend {
 };
 
 // ---------------------------------------------------------------------------
-// LUT backends: the T-MAC-style table kernel, in the L1-tiled and the
-// build-everything-up-front ("outer") variants.
+// LUT backend: the T-MAC-style table kernel.
 
 class LutBackend final : public FunctionalBackend {
  public:
-  LutBackend(const BackendContext& ctx, int group_tile)
+  explicit LutBackend(const BackendContext& ctx)
       : engine_({.rows = ctx.rows,
                  .cols = ctx.cols,
                  .lanes = ctx.lanes,
-                 .jobs = ctx.jobs,
-                 .group_tile = group_tile}) {}
+                 .jobs = ctx.jobs}) {}
 
   BitsliceEngine::ConvStats run_conv_batch(
       const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
       const nn::Tensor& weights, const BitsliceEngine::SliceSpec& spec,
       std::span<nn::WideTensor* const> wides) override {
     return engine_.run_conv_batch(layer, inputs, weights, spec, wides);
-  }
-
-  void run_fc(const nn::Layer& layer, const nn::Tensor& input,
-              const nn::Tensor& weights, int weight_precision,
-              nn::WideTensor& wide) override {
-    engine_.run_fc(layer, input, weights, weight_precision, wide);
   }
 
   void run_fc_batch(const nn::Layer& layer,
@@ -313,11 +302,7 @@ std::unique_ptr<FunctionalBackend> make_bitslice(const BackendContext& ctx) {
 }
 
 std::unique_ptr<FunctionalBackend> make_lut(const BackendContext& ctx) {
-  return std::make_unique<LutBackend>(ctx, /*group_tile=*/64);
-}
-
-std::unique_ptr<FunctionalBackend> make_lut_outer(const BackendContext& ctx) {
-  return std::make_unique<LutBackend>(ctx, /*group_tile=*/0);
+  return std::make_unique<LutBackend>(ctx);
 }
 
 }  // namespace
@@ -340,9 +325,6 @@ BackendRegistry::BackendRegistry() : impl_(new Impl) {
   impl_->entries.push_back(
       {.name = "lut", .tunable = true, .supports = grid_supports,
        .make = make_lut});
-  impl_->entries.push_back(
-      {.name = "lut-outer", .tunable = true, .supports = grid_supports,
-       .make = make_lut_outer});
 }
 
 BackendRegistry& BackendRegistry::instance() {
@@ -649,6 +631,74 @@ void BackendAutotuner::reset_for_test() {
   impl_->cells.clear();
   impl_->cache_stats = CacheStats{};
   Impl::read_pin(impl_->pin);
+}
+
+// ---------------------------------------------------------------------------
+// LayerDispatcher
+
+LayerDispatcher::LayerDispatcher(std::string_view requested, bool force_scalar,
+                                 const BackendContext& ctx)
+    : ctx_(ctx), resolved_(resolve_backend_name(requested, force_scalar, ctx)) {
+  if (resolved_ == "auto") {
+    candidates_ = BackendRegistry::instance().tunable_names(ctx_);
+    // Warm the process autotuner from LOOM_AUTOTUNE_CACHE (no-op when unset
+    // or already initialized) so tuned cells skip per-process exploration.
+    init_autotune_cache_from_env();
+  }
+}
+
+FunctionalBackend& LayerDispatcher::backend(const std::string& name) {
+  auto it = backends_.find(name);
+  if (it == backends_.end()) {
+    const BackendInfo* info = BackendRegistry::instance().find(name);
+    LOOM_EXPECTS(info != nullptr);
+    it = backends_.emplace(name, info->make(ctx_)).first;
+  }
+  return *it->second;
+}
+
+template <typename Run>
+void LayerDispatcher::dispatch(const TuneKey& key, std::string& used,
+                               Run&& run) {
+  if (resolved_ != "auto") {
+    used = resolved_;
+    run(backend(used));
+    return;
+  }
+  // Every candidate computes identical bytes, so exploration piggybacks on
+  // real layer runs: the tuner hands out whichever kernel it still needs a
+  // timing for, and the measurement is the run the caller wanted anyway.
+  used = BackendAutotuner::instance().choose(key, candidates_);
+  const auto t0 = std::chrono::steady_clock::now();
+  run(backend(used));
+  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+      std::chrono::steady_clock::now() - t0);
+  BackendAutotuner::instance().record(key, used,
+                                      static_cast<std::uint64_t>(ns.count()));
+}
+
+BitsliceEngine::ConvStats LayerDispatcher::run_conv(
+    const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
+    const nn::Tensor& weights, const BitsliceEngine::SliceSpec& spec,
+    std::span<nn::WideTensor* const> wides, std::string& used) {
+  BitsliceEngine::ConvStats st;
+  dispatch(conv_tune_key(layer, spec, static_cast<int>(inputs.size()), ctx_),
+           used, [&](FunctionalBackend& b) {
+             st = b.run_conv_batch(layer, inputs, weights, spec, wides);
+           });
+  return st;
+}
+
+void LayerDispatcher::run_fc(const nn::Layer& layer,
+                             std::span<const nn::Tensor* const> inputs,
+                             const nn::Tensor& weights, int weight_precision,
+                             std::span<nn::WideTensor* const> wides,
+                             std::string& used) {
+  dispatch(fc_tune_key(layer, weight_precision,
+                       static_cast<int>(inputs.size()), ctx_),
+           used, [&](FunctionalBackend& b) {
+             b.run_fc_batch(layer, inputs, weights, weight_precision, wides);
+           });
 }
 
 }  // namespace loom::sim

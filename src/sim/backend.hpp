@@ -7,16 +7,16 @@
 // same contract — byte-identical accumulators AND byte-identical stats —
 // so FunctionalLoomEngine can swap kernels per layer without any observable
 // difference beyond wall-clock time (pinned by
-// tests/test_backend_differential.cpp).
+// tests/test_backend_differential.cpp). Every entry point is batched; a solo
+// request is a batch of one.
 //
 // Registered built-ins:
 //   scalar     — the arch::Sip oracle, bit-by-bit through a dispatcher
-//                (ground truth; never an autotuner candidate)
+//                (ground truth; never an autotuner candidate); a batch runs
+//                as N solo passes
 //   bitslice   — 64 SIP columns per machine word (sim/bitslice_engine.hpp)
 //   lut        — T-MAC-style per-activation-group partial-sum LUTs
 //                (sim/lut_engine.hpp), L1-tiled table working set
-//   lut-outer  — the LUT kernel with all tables built up front (one big
-//                working set; wins when the whole slab's tables fit cache)
 //
 // Backend selection (resolve_backend_name): FunctionalOptions::force_scalar
 // or LOOM_FUNCTIONAL_SCALAR pick "scalar"; otherwise an explicit
@@ -26,11 +26,13 @@
 // once on the real layer run, memoizes the fastest, and exposes its
 // decisions; LOOM_AUTOTUNE_PIN=<name> pins every cell for reproducible
 // runs. A named backend that cannot pack the grid falls back to "scalar",
-// matching the historical cols>64 behavior.
+// matching the historical cols>64 behavior. Both functional engines reach
+// all of this through one LayerDispatcher (bottom of this file).
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -64,10 +66,6 @@ class FunctionalBackend {
       const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
       const nn::Tensor& weights, const BitsliceEngine::SliceSpec& spec,
       std::span<nn::WideTensor* const> wides) = 0;
-
-  virtual void run_fc(const nn::Layer& layer, const nn::Tensor& input,
-                      const nn::Tensor& weights, int weight_precision,
-                      nn::WideTensor& wide) = 0;
 
   virtual void run_fc_batch(const nn::Layer& layer,
                             std::span<const nn::Tensor* const> inputs,
@@ -209,6 +207,44 @@ class BackendAutotuner {
   BackendAutotuner();
   struct Impl;
   Impl* impl_;  // leaked singleton state, never destroyed
+};
+
+/// One engine's layer dispatch, shared by FunctionalLoomEngine and
+/// FunctionalDpnnEngine: backend resolution at construction
+/// (resolve_backend_name), the lazily built backend instances, and — under
+/// "auto" — the autotuner's choose / time / record loop around each real
+/// layer run. Engine-confined, like the backends it owns.
+class LayerDispatcher {
+ public:
+  LayerDispatcher(std::string_view requested, bool force_scalar,
+                  const BackendContext& ctx);
+
+  /// "scalar", "auto", or a concrete registered backend name.
+  [[nodiscard]] const std::string& resolved() const noexcept {
+    return resolved_;
+  }
+
+  /// Run one conv batch on the selected kernel; `used` reports the kernel
+  /// that ran.
+  BitsliceEngine::ConvStats run_conv(const nn::Layer& layer,
+                                     std::span<const nn::Tensor* const> inputs,
+                                     const nn::Tensor& weights,
+                                     const BitsliceEngine::SliceSpec& spec,
+                                     std::span<nn::WideTensor* const> wides,
+                                     std::string& used);
+  void run_fc(const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
+              const nn::Tensor& weights, int weight_precision,
+              std::span<nn::WideTensor* const> wides, std::string& used);
+
+ private:
+  template <typename Run>
+  void dispatch(const TuneKey& key, std::string& used, Run&& run);
+  FunctionalBackend& backend(const std::string& name);
+
+  BackendContext ctx_;
+  std::string resolved_;
+  std::vector<std::string> candidates_;  ///< tuner candidates under "auto"
+  std::map<std::string, std::unique_ptr<FunctionalBackend>> backends_;
 };
 
 }  // namespace loom::sim

@@ -1,13 +1,10 @@
 #include "sim/dpnn_functional.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/error.hpp"
 #include "nn/im2col.hpp"
-#include "sim/autotune_cache.hpp"
 #include "sim/bitslice_engine.hpp"
-#include "sim/functional.hpp"
 
 namespace loom::sim {
 
@@ -48,155 +45,44 @@ std::vector<DpnnFunctionalRun> make_runs(
   return runs;
 }
 
-/// Stamp the data-independent schedule cycles and requantize per request
-/// (shift choice per request — identical to solo runs).
-void finalize_runs(std::vector<DpnnFunctionalRun>& runs, std::uint64_t cycles,
-                   int out_bits, bool relu) {
+/// Requantize per request (shift choice per request — identical to solo
+/// runs).
+void requantize_runs(std::vector<DpnnFunctionalRun>& runs, int out_bits,
+                     bool relu) {
   for (DpnnFunctionalRun& run : runs) {
-    run.cycles = cycles;
     run.requant_shift = nn::choose_requant_shift(run.wide, out_bits);
     run.output = nn::requantize(run.wide, run.requant_shift, out_bits, relu);
   }
 }
 
-std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point t0) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-}
-
 }  // namespace
 
 FunctionalDpnnEngine::FunctionalDpnnEngine(DpnnFunctionalOptions opts)
-    : opts_(opts) {
+    : opts_(opts),
+      layers_(opts.backend, opts.force_scalar,
+              BackendContext{.rows = opts.filters,
+                             .cols = 16,
+                             .lanes = opts.act_lanes,
+                             .jobs = opts.jobs}) {
   LOOM_EXPECTS(opts.act_lanes >= 1 && opts.filters >= 1);
-  ctx_ = BackendContext{.rows = opts_.filters,
-                        .cols = 16,
-                        .lanes = opts_.act_lanes,
-                        .jobs = opts_.jobs};
-  resolved_ = resolve_backend_name(opts_.backend, opts_.force_scalar, ctx_);
-  if (resolved_ == "auto") {
-    candidates_ = BackendRegistry::instance().tunable_names(ctx_);
-    init_autotune_cache_from_env();
-  }
-}
-
-FunctionalBackend& FunctionalDpnnEngine::backend_for(const std::string& name) {
-  auto it = backends_.find(name);
-  if (it == backends_.end()) {
-    const BackendInfo* info = BackendRegistry::instance().find(name);
-    LOOM_EXPECTS(info != nullptr);
-    it = backends_.emplace(name, info->make(ctx_)).first;
-  }
-  return *it->second;
-}
-
-void FunctionalDpnnEngine::dispatch_conv(
-    const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
-    const nn::Tensor& weights, std::span<nn::WideTensor* const> wides) {
-  if (resolved_ != "auto") {
-    (void)backend_for(resolved_).run_conv_batch(layer, inputs, weights,
-                                                kDpnnSpec, wides);
-    return;
-  }
-  const TuneKey key =
-      conv_tune_key(layer, kDpnnSpec, static_cast<int>(inputs.size()), ctx_);
-  const std::string used = BackendAutotuner::instance().choose(key, candidates_);
-  const auto t0 = std::chrono::steady_clock::now();
-  (void)backend_for(used).run_conv_batch(layer, inputs, weights, kDpnnSpec,
-                                         wides);
-  BackendAutotuner::instance().record(key, used, elapsed_ns(t0));
-}
-
-void FunctionalDpnnEngine::dispatch_fc(
-    const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
-    const nn::Tensor& weights, std::span<nn::WideTensor* const> wides) {
-  if (resolved_ != "auto") {
-    backend_for(resolved_).run_fc_batch(layer, inputs, weights, kBasePrecision,
-                                        wides);
-    return;
-  }
-  const TuneKey key =
-      fc_tune_key(layer, kBasePrecision, static_cast<int>(inputs.size()), ctx_);
-  const std::string used = BackendAutotuner::instance().choose(key, candidates_);
-  const auto t0 = std::chrono::steady_clock::now();
-  backend_for(used).run_fc_batch(layer, inputs, weights, kBasePrecision, wides);
-  BackendAutotuner::instance().record(key, used, elapsed_ns(t0));
 }
 
 DpnnFunctionalRun FunctionalDpnnEngine::run_conv(const nn::Layer& layer,
                                                  const nn::Tensor& input,
                                                  const nn::Tensor& weights,
                                                  int out_bits) {
-  LOOM_EXPECTS(layer.kind == nn::LayerKind::kConv);
-  DpnnFunctionalRun run;
-  run.name = layer.name;
-  run.wide = nn::WideTensor(nn::Shape{layer.out.c, layer.out.h, layer.out.w});
+  return std::move(run_conv_batch(layer, std::span<const nn::Tensor>(&input, 1),
+                                  weights, out_bits)
+                       .front());
+}
 
-  const int lanes = opts_.act_lanes;
-  const std::int64_t inner = layer.inner_length();
-  const std::int64_t windows = layer.windows();
-  const std::int64_t cog = layer.group_out_channels();
-  const std::int64_t fb_count = ceil_div(cog, opts_.filters);
-  const std::int64_t ic_count = ceil_div(inner, lanes);
-
-  if (resolved_ != "scalar") {
-    const nn::Tensor* in_ptr = &input;
-    nn::WideTensor* wide_ptr = &run.wide;
-    dispatch_conv(layer, std::span<const nn::Tensor* const>(&in_ptr, 1),
-                  weights, std::span<nn::WideTensor* const>(&wide_ptr, 1));
-    // The baseline schedule is data-independent: one cycle per (filter
-    // block, window, input chunk).
-    run.cycles = static_cast<std::uint64_t>(layer.groups) *
-                 static_cast<std::uint64_t>(fb_count) *
-                 static_cast<std::uint64_t>(windows) *
-                 static_cast<std::uint64_t>(ic_count);
-  } else {
-    std::vector<arch::IpUnit> ips(static_cast<std::size_t>(opts_.filters),
-                                  arch::IpUnit(lanes));
-    std::vector<Value> acts(static_cast<std::size_t>(lanes));
-    std::vector<Value> wvals(static_cast<std::size_t>(lanes));
-
-    for (std::int64_t g = 0; g < layer.groups; ++g) {
-      for (std::int64_t fb = 0; fb < fb_count; ++fb) {
-        const std::int64_t f0 = fb * opts_.filters;
-        const std::int64_t filters_used =
-            std::min<std::int64_t>(opts_.filters, cog - f0);
-        for (std::int64_t window = 0; window < windows; ++window) {
-          for (auto& ip : ips) ip.begin_output();
-          for (std::int64_t base = 0; base < inner; base += lanes) {
-            // One cycle: lanes activations broadcast to all IP units.
-            const std::int64_t n = std::min<std::int64_t>(lanes, inner - base);
-            for (std::int64_t l = 0; l < n; ++l) {
-              acts[static_cast<std::size_t>(l)] =
-                  window_value(layer, input, g, window, base + l);
-            }
-            std::fill(acts.begin() + static_cast<std::ptrdiff_t>(n), acts.end(), 0);
-            for (std::int64_t f = 0; f < filters_used; ++f) {
-              const std::int64_t co = g * cog + f0 + f;
-              for (std::int64_t l = 0; l < n; ++l) {
-                wvals[static_cast<std::size_t>(l)] =
-                    weights.flat(co * inner + base + l);
-              }
-              std::fill(wvals.begin() + static_cast<std::ptrdiff_t>(n), wvals.end(), 0);
-              ips[static_cast<std::size_t>(f)].cycle(acts, wvals);
-            }
-            ++run.cycles;
-          }
-          for (std::int64_t f = 0; f < filters_used; ++f) {
-            const std::int64_t co = g * cog + f0 + f;
-            run.wide.at3(co, window / layer.out.w, window % layer.out.w) =
-                ips[static_cast<std::size_t>(f)].output();
-          }
-        }
-      }
-    }
-  }
-
-  run.requant_shift = nn::choose_requant_shift(run.wide, out_bits);
-  run.output = nn::requantize(run.wide, run.requant_shift, out_bits, opts_.relu);
-  return run;
+DpnnFunctionalRun FunctionalDpnnEngine::run_fc(const nn::Layer& layer,
+                                               const nn::Tensor& input,
+                                               const nn::Tensor& weights,
+                                               int out_bits) {
+  return std::move(run_fc_batch(layer, std::span<const nn::Tensor>(&input, 1),
+                                weights, out_bits)
+                       .front());
 }
 
 std::vector<DpnnFunctionalRun> FunctionalDpnnEngine::run_conv_batch(
@@ -204,34 +90,33 @@ std::vector<DpnnFunctionalRun> FunctionalDpnnEngine::run_conv_batch(
     const nn::Tensor& weights, int out_bits) {
   LOOM_EXPECTS(layer.kind == nn::LayerKind::kConv);
   LOOM_EXPECTS(!inputs.empty());
-  const std::size_t batch = inputs.size();
-  std::vector<DpnnFunctionalRun> runs;
-  runs.reserve(batch);
-
-  if (resolved_ == "scalar") {
-    for (std::size_t r = 0; r < batch; ++r) {
-      runs.push_back(run_conv(layer, inputs[r], weights, out_bits));
-    }
-    return runs;
-  }
-
   std::vector<const nn::Tensor*> in_ptrs;
   std::vector<nn::WideTensor*> wide_ptrs;
-  runs = make_runs(layer, inputs,
-                   nn::Shape{layer.out.c, layer.out.h, layer.out.w}, in_ptrs,
-                   wide_ptrs);
-  dispatch_conv(layer, in_ptrs, weights, wide_ptrs);
+  std::vector<DpnnFunctionalRun> runs =
+      make_runs(layer, inputs, nn::Shape{layer.out.c, layer.out.h, layer.out.w},
+                in_ptrs, wide_ptrs);
 
-  const std::int64_t fb_count =
-      ceil_div(layer.group_out_channels(), opts_.filters);
-  const std::int64_t ic_count =
-      ceil_div(layer.inner_length(), static_cast<std::int64_t>(opts_.act_lanes));
-  finalize_runs(runs,
-                static_cast<std::uint64_t>(layer.groups) *
-                    static_cast<std::uint64_t>(fb_count) *
-                    static_cast<std::uint64_t>(layer.windows()) *
-                    static_cast<std::uint64_t>(ic_count),
-                out_bits, opts_.relu);
+  if (layers_.resolved() == "scalar") {
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+      runs[r].cycles = ip_unit_conv(layer, inputs[r], weights, runs[r].wide);
+    }
+  } else {
+    std::string used;
+    (void)layers_.run_conv(layer, in_ptrs, weights, kDpnnSpec, wide_ptrs, used);
+    // The baseline schedule is data-independent: one cycle per (filter
+    // block, window, input chunk).
+    const std::int64_t fb_count =
+        ceil_div(layer.group_out_channels(), opts_.filters);
+    const std::int64_t ic_count = ceil_div(
+        layer.inner_length(), static_cast<std::int64_t>(opts_.act_lanes));
+    for (DpnnFunctionalRun& run : runs) {
+      run.cycles = static_cast<std::uint64_t>(layer.groups) *
+                   static_cast<std::uint64_t>(fb_count) *
+                   static_cast<std::uint64_t>(layer.windows()) *
+                   static_cast<std::uint64_t>(ic_count);
+    }
+  }
+  requantize_runs(runs, out_bits, opts_.relu);
   return runs;
 }
 
@@ -240,92 +125,123 @@ std::vector<DpnnFunctionalRun> FunctionalDpnnEngine::run_fc_batch(
     const nn::Tensor& weights, int out_bits) {
   LOOM_EXPECTS(layer.kind == nn::LayerKind::kFullyConnected);
   LOOM_EXPECTS(!inputs.empty());
-  const std::size_t batch = inputs.size();
-  std::vector<DpnnFunctionalRun> runs;
-  runs.reserve(batch);
-
-  if (resolved_ == "scalar") {
-    for (std::size_t r = 0; r < batch; ++r) {
-      runs.push_back(run_fc(layer, inputs[r], weights, out_bits));
-    }
-    return runs;
-  }
-
   std::vector<const nn::Tensor*> in_ptrs;
   std::vector<nn::WideTensor*> wide_ptrs;
-  runs = make_runs(layer, inputs, nn::Shape{layer.out.c, 1, 1}, in_ptrs,
-                   wide_ptrs);
-  dispatch_fc(layer, in_ptrs, weights, wide_ptrs);
+  std::vector<DpnnFunctionalRun> runs = make_runs(
+      layer, inputs, nn::Shape{layer.out.c, 1, 1}, in_ptrs, wide_ptrs);
 
-  const std::int64_t fb_count =
-      ceil_div(static_cast<std::int64_t>(layer.out.c), opts_.filters);
-  const std::int64_t ic_count = ceil_div(
-      layer.in.elements(), static_cast<std::int64_t>(opts_.act_lanes));
-  finalize_runs(runs,
-                static_cast<std::uint64_t>(fb_count) *
-                    static_cast<std::uint64_t>(ic_count),
-                out_bits, opts_.relu);
+  if (layers_.resolved() == "scalar") {
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+      runs[r].cycles = ip_unit_fc(layer, inputs[r], weights, runs[r].wide);
+    }
+  } else {
+    std::string used;
+    layers_.run_fc(layer, in_ptrs, weights, kBasePrecision, wide_ptrs, used);
+    const std::int64_t fb_count =
+        ceil_div(static_cast<std::int64_t>(layer.out.c), opts_.filters);
+    const std::int64_t ic_count = ceil_div(
+        layer.in.elements(), static_cast<std::int64_t>(opts_.act_lanes));
+    for (DpnnFunctionalRun& run : runs) {
+      run.cycles = static_cast<std::uint64_t>(fb_count) *
+                   static_cast<std::uint64_t>(ic_count);
+    }
+  }
+  requantize_runs(runs, out_bits, opts_.relu);
   return runs;
 }
 
-DpnnFunctionalRun FunctionalDpnnEngine::run_fc(const nn::Layer& layer,
+std::uint64_t FunctionalDpnnEngine::ip_unit_conv(const nn::Layer& layer,
+                                                 const nn::Tensor& input,
+                                                 const nn::Tensor& weights,
+                                                 nn::WideTensor& wide) const {
+  const int lanes = opts_.act_lanes;
+  const std::int64_t inner = layer.inner_length();
+  const std::int64_t windows = layer.windows();
+  const std::int64_t cog = layer.group_out_channels();
+  const std::int64_t fb_count = ceil_div(cog, opts_.filters);
+  std::uint64_t cycles = 0;
+  std::vector<arch::IpUnit> ips(static_cast<std::size_t>(opts_.filters),
+                                arch::IpUnit(lanes));
+  std::vector<Value> acts(static_cast<std::size_t>(lanes));
+  std::vector<Value> wvals(static_cast<std::size_t>(lanes));
+
+  for (std::int64_t g = 0; g < layer.groups; ++g) {
+    for (std::int64_t fb = 0; fb < fb_count; ++fb) {
+      const std::int64_t f0 = fb * opts_.filters;
+      const std::int64_t filters_used =
+          std::min<std::int64_t>(opts_.filters, cog - f0);
+      for (std::int64_t window = 0; window < windows; ++window) {
+        for (auto& ip : ips) ip.begin_output();
+        for (std::int64_t base = 0; base < inner; base += lanes) {
+          // One cycle: lanes activations broadcast to all IP units.
+          const std::int64_t n = std::min<std::int64_t>(lanes, inner - base);
+          for (std::int64_t l = 0; l < n; ++l) {
+            acts[static_cast<std::size_t>(l)] =
+                window_value(layer, input, g, window, base + l);
+          }
+          std::fill(acts.begin() + static_cast<std::ptrdiff_t>(n), acts.end(), 0);
+          for (std::int64_t f = 0; f < filters_used; ++f) {
+            const std::int64_t co = g * cog + f0 + f;
+            for (std::int64_t l = 0; l < n; ++l) {
+              wvals[static_cast<std::size_t>(l)] =
+                  weights.flat(co * inner + base + l);
+            }
+            std::fill(wvals.begin() + static_cast<std::ptrdiff_t>(n), wvals.end(), 0);
+            ips[static_cast<std::size_t>(f)].cycle(acts, wvals);
+          }
+          ++cycles;
+        }
+        for (std::int64_t f = 0; f < filters_used; ++f) {
+          const std::int64_t co = g * cog + f0 + f;
+          wide.at3(co, window / layer.out.w, window % layer.out.w) =
+              ips[static_cast<std::size_t>(f)].output();
+        }
+      }
+    }
+  }
+  return cycles;
+}
+
+std::uint64_t FunctionalDpnnEngine::ip_unit_fc(const nn::Layer& layer,
                                                const nn::Tensor& input,
                                                const nn::Tensor& weights,
-                                               int out_bits) {
-  LOOM_EXPECTS(layer.kind == nn::LayerKind::kFullyConnected);
-  DpnnFunctionalRun run;
-  run.name = layer.name;
-  run.wide = nn::WideTensor(nn::Shape{layer.out.c, 1, 1});
-
+                                               nn::WideTensor& wide) const {
   const int lanes = opts_.act_lanes;
   const std::int64_t ci = layer.in.elements();
   const std::int64_t fb_count = ceil_div(static_cast<std::int64_t>(layer.out.c),
                                          opts_.filters);
-  const std::int64_t ic_count = ceil_div(ci, static_cast<std::int64_t>(lanes));
+  std::uint64_t cycles = 0;
+  std::vector<arch::IpUnit> ips(static_cast<std::size_t>(opts_.filters),
+                                arch::IpUnit(lanes));
+  std::vector<Value> acts(static_cast<std::size_t>(lanes));
+  std::vector<Value> wvals(static_cast<std::size_t>(lanes));
 
-  if (resolved_ != "scalar") {
-    const nn::Tensor* in_ptr = &input;
-    nn::WideTensor* wide_ptr = &run.wide;
-    dispatch_fc(layer, std::span<const nn::Tensor* const>(&in_ptr, 1), weights,
-                std::span<nn::WideTensor* const>(&wide_ptr, 1));
-    run.cycles = static_cast<std::uint64_t>(fb_count) *
-                 static_cast<std::uint64_t>(ic_count);
-  } else {
-    std::vector<arch::IpUnit> ips(static_cast<std::size_t>(opts_.filters),
-                                  arch::IpUnit(lanes));
-    std::vector<Value> acts(static_cast<std::size_t>(lanes));
-    std::vector<Value> wvals(static_cast<std::size_t>(lanes));
-
-    for (std::int64_t fb = 0; fb < fb_count; ++fb) {
-      const std::int64_t f0 = fb * opts_.filters;
-      const std::int64_t filters_used =
-          std::min<std::int64_t>(opts_.filters, layer.out.c - f0);
-      for (auto& ip : ips) ip.begin_output();
-      for (std::int64_t base = 0; base < ci; base += lanes) {
-        const std::int64_t n = std::min<std::int64_t>(lanes, ci - base);
-        for (std::int64_t l = 0; l < n; ++l) {
-          acts[static_cast<std::size_t>(l)] = input.flat(base + l);
-        }
-        std::fill(acts.begin() + static_cast<std::ptrdiff_t>(n), acts.end(), 0);
-        for (std::int64_t f = 0; f < filters_used; ++f) {
-          for (std::int64_t l = 0; l < n; ++l) {
-            wvals[static_cast<std::size_t>(l)] =
-                weights.flat((f0 + f) * ci + base + l);
-          }
-          std::fill(wvals.begin() + static_cast<std::ptrdiff_t>(n), wvals.end(), 0);
-          ips[static_cast<std::size_t>(f)].cycle(acts, wvals);
-        }
-        ++run.cycles;
+  for (std::int64_t fb = 0; fb < fb_count; ++fb) {
+    const std::int64_t f0 = fb * opts_.filters;
+    const std::int64_t filters_used =
+        std::min<std::int64_t>(opts_.filters, layer.out.c - f0);
+    for (auto& ip : ips) ip.begin_output();
+    for (std::int64_t base = 0; base < ci; base += lanes) {
+      const std::int64_t n = std::min<std::int64_t>(lanes, ci - base);
+      for (std::int64_t l = 0; l < n; ++l) {
+        acts[static_cast<std::size_t>(l)] = input.flat(base + l);
       }
+      std::fill(acts.begin() + static_cast<std::ptrdiff_t>(n), acts.end(), 0);
       for (std::int64_t f = 0; f < filters_used; ++f) {
-        run.wide.set_flat(f0 + f, ips[static_cast<std::size_t>(f)].output());
+        for (std::int64_t l = 0; l < n; ++l) {
+          wvals[static_cast<std::size_t>(l)] =
+              weights.flat((f0 + f) * ci + base + l);
+        }
+        std::fill(wvals.begin() + static_cast<std::ptrdiff_t>(n), wvals.end(), 0);
+        ips[static_cast<std::size_t>(f)].cycle(acts, wvals);
       }
+      ++cycles;
+    }
+    for (std::int64_t f = 0; f < filters_used; ++f) {
+      wide.set_flat(f0 + f, ips[static_cast<std::size_t>(f)].output());
     }
   }
-
-  run.requant_shift = nn::choose_requant_shift(run.wide, out_bits);
-  run.output = nn::requantize(run.wide, run.requant_shift, out_bits, opts_.relu);
-  return run;
+  return cycles;
 }
 
 }  // namespace loom::sim

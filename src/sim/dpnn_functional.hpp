@@ -14,8 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -64,7 +62,8 @@ class FunctionalDpnnEngine {
                                          int out_bits);
 
   /// Batched variants: one coalesced word-parallel pass over N same-shape
-  /// requests (the scalar oracle falls back to N solo runs). Each returned
+  /// requests (the scalar oracle runs them one by one; the solo calls above
+  /// are batches of one). Each returned
   /// run is byte-identical to the corresponding solo run — the DPNN
   /// baseline's window-sequential schedule is data-independent, so even the
   /// per-request cycle counts match solo execution exactly.
@@ -82,27 +81,22 @@ class FunctionalDpnnEngine {
   /// construction like FunctionalLoomEngine (force_scalar, the environment
   /// hatches, or an unpackable configuration select the scalar oracle).
   [[nodiscard]] const std::string& backend_name() const noexcept {
-    return resolved_;
+    return layers_.resolved();
   }
 
  private:
-  FunctionalBackend& backend_for(const std::string& name);
-  /// Run one conv/fc batch on the selected kernel (never "scalar" — callers
-  /// branch to the IpUnit loops first); under "auto" consults the autotuner.
-  void dispatch_conv(const nn::Layer& layer,
-                     std::span<const nn::Tensor* const> inputs,
-                     const nn::Tensor& weights,
-                     std::span<nn::WideTensor* const> wides);
-  void dispatch_fc(const nn::Layer& layer,
-                   std::span<const nn::Tensor* const> inputs,
-                   const nn::Tensor& weights,
-                   std::span<nn::WideTensor* const> wides);
+  /// The scalar oracle: drive the IpUnits cycle by cycle over one request.
+  /// Returns the cycles it counted.
+  std::uint64_t ip_unit_conv(const nn::Layer& layer, const nn::Tensor& input,
+                             const nn::Tensor& weights,
+                             nn::WideTensor& wide) const;
+  std::uint64_t ip_unit_fc(const nn::Layer& layer, const nn::Tensor& input,
+                           const nn::Tensor& weights,
+                           nn::WideTensor& wide) const;
 
   DpnnFunctionalOptions opts_;
-  BackendContext ctx_;
-  std::string resolved_;
-  std::vector<std::string> candidates_;  ///< tuner candidates under "auto"
-  std::map<std::string, std::unique_ptr<FunctionalBackend>> backends_;
+  /// Registry kernels; resolved "scalar" selects the IpUnit loops instead.
+  LayerDispatcher layers_;
 };
 
 }  // namespace loom::sim

@@ -1,12 +1,9 @@
 #include "sim/functional.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 
 #include "common/error.hpp"
-#include "sim/autotune_cache.hpp"
 #include "sim/loom_sim.hpp"
 
 namespace loom::sim {
@@ -14,9 +11,7 @@ namespace loom::sim {
 namespace {
 
 /// Output precision of weighted layer `i`: the next conv consumer's profile
-/// Pa (an FC consumer, or no consumer, stores at base precision). Shared by
-/// the solo and batched network walks so the propagation rule cannot drift
-/// between them.
+/// Pa (an FC consumer, or no consumer, stores at base precision).
 int consumer_out_bits(const nn::Network& net, std::size_t i) {
   for (std::size_t j = i + 1; j < net.size(); ++j) {
     if (net.layer(j).kind == nn::LayerKind::kConv) {
@@ -52,11 +47,17 @@ void requantize_batch(FunctionalBatchLayerRun& run, int out_bits, bool relu) {
   }
 }
 
-std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point t0) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
+/// A batch of one as a solo layer run.
+FunctionalLayerRun solo_run(FunctionalBatchLayerRun&& b) {
+  return FunctionalLayerRun{.name = std::move(b.name),
+                            .output = std::move(b.outputs.front()),
+                            .wide = std::move(b.wides.front()),
+                            .cycles = b.cycles,
+                            .requant_shift = b.requant_shifts.front(),
+                            .out_bits = b.out_bits,
+                            .mean_streamed_precision =
+                                b.mean_streamed_precision,
+                            .backend = std::move(b.backend)};
 }
 
 }  // namespace
@@ -67,137 +68,31 @@ bool functional_scalar_env() {
 }
 
 FunctionalLoomEngine::FunctionalLoomEngine(FunctionalOptions opts)
-    : opts_(opts), dispatcher_(opts.lanes) {
+    : opts_(opts),
+      dispatcher_(opts.lanes),
+      layers_(opts.backend, opts.force_scalar,
+              BackendContext{.rows = opts.rows,
+                             .cols = opts.cols,
+                             .lanes = opts.lanes,
+                             .jobs = opts.jobs}) {
   LOOM_EXPECTS(opts.rows >= 1 && opts.cols >= 1);
   LOOM_EXPECTS(opts.lanes >= 1 && opts.lanes <= 32);
-  ctx_ = BackendContext{.rows = opts_.rows,
-                        .cols = opts_.cols,
-                        .lanes = opts_.lanes,
-                        .jobs = opts_.jobs};
-  resolved_ = resolve_backend_name(opts_.backend, opts_.force_scalar, ctx_);
-  if (resolved_ == "auto") {
-    candidates_ = BackendRegistry::instance().tunable_names(ctx_);
-    // Warm the process autotuner from LOOM_AUTOTUNE_CACHE (no-op when unset
-    // or already initialized) so tuned cells skip per-process exploration.
-    init_autotune_cache_from_env();
-  }
-}
-
-FunctionalBackend& FunctionalLoomEngine::backend_for(const std::string& name) {
-  auto it = backends_.find(name);
-  if (it == backends_.end()) {
-    const BackendInfo* info = BackendRegistry::instance().find(name);
-    LOOM_EXPECTS(info != nullptr);
-    it = backends_.emplace(name, info->make(ctx_)).first;
-  }
-  return *it->second;
-}
-
-BitsliceEngine::ConvStats FunctionalLoomEngine::dispatch_conv(
-    const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
-    const nn::Tensor& weights, const BitsliceEngine::SliceSpec& spec,
-    std::span<nn::WideTensor* const> wides, std::string& used) {
-  if (resolved_ != "auto") {
-    used = resolved_;
-    return backend_for(used).run_conv_batch(layer, inputs, weights, spec,
-                                            wides);
-  }
-  // Every candidate computes identical bytes, so exploration piggybacks on
-  // real layer runs: the tuner hands out whichever kernel it still needs a
-  // timing for, and the measurement is the run the caller wanted anyway.
-  const TuneKey key =
-      conv_tune_key(layer, spec, static_cast<int>(inputs.size()), ctx_);
-  used = BackendAutotuner::instance().choose(key, candidates_);
-  const auto t0 = std::chrono::steady_clock::now();
-  const BitsliceEngine::ConvStats st =
-      backend_for(used).run_conv_batch(layer, inputs, weights, spec, wides);
-  BackendAutotuner::instance().record(key, used, elapsed_ns(t0));
-  return st;
-}
-
-void FunctionalLoomEngine::dispatch_fc(
-    const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
-    const nn::Tensor& weights, std::span<nn::WideTensor* const> wides,
-    std::string& used) {
-  if (resolved_ != "auto") {
-    used = resolved_;
-    backend_for(used).run_fc_batch(layer, inputs, weights,
-                                   layer.weight_precision, wides);
-    return;
-  }
-  const TuneKey key = fc_tune_key(layer, layer.weight_precision,
-                                  static_cast<int>(inputs.size()), ctx_);
-  used = BackendAutotuner::instance().choose(key, candidates_);
-  const auto t0 = std::chrono::steady_clock::now();
-  backend_for(used).run_fc_batch(layer, inputs, weights,
-                                 layer.weight_precision, wides);
-  BackendAutotuner::instance().record(key, used, elapsed_ns(t0));
 }
 
 FunctionalLayerRun FunctionalLoomEngine::run_conv(const nn::Layer& layer,
                                                   const nn::Tensor& input,
                                                   const nn::Tensor& weights,
                                                   int out_bits) {
-  LOOM_EXPECTS(layer.kind == nn::LayerKind::kConv);
-  FunctionalLayerRun run;
-  run.name = layer.name;
-  run.out_bits = out_bits;
-  run.wide = nn::WideTensor(nn::Shape{layer.out.c, layer.out.h, layer.out.w});
-
-  const BitsliceEngine::SliceSpec spec{
-      .act_precision = layer.act_precision,
-      .weight_precision = layer.weight_precision,
-      .act_signed = false,
-      .dynamic = opts_.dynamic_act_precision};
-  const nn::Tensor* in_ptr = &input;
-  nn::WideTensor* wide_ptr = &run.wide;
-  const BitsliceEngine::ConvStats st =
-      dispatch_conv(layer, std::span<const nn::Tensor* const>(&in_ptr, 1),
-                    weights, spec, std::span<nn::WideTensor* const>(&wide_ptr, 1),
-                    run.backend);
-  run.cycles = st.cycles;
-  run.mean_streamed_precision =
-      st.chunks ? st.streamed_pa / static_cast<double>(st.chunks) : 0.0;
-  dispatcher_.note_streamed(st.act_bits_streamed, st.weight_bits_streamed,
-                            st.detect_invocations, st.detect_values);
-
-  run.requant_shift = nn::choose_requant_shift(run.wide, out_bits);
-  run.output = nn::requantize(run.wide, run.requant_shift, out_bits, opts_.relu);
-  return run;
+  return solo_run(run_conv_batch(layer, std::span<const nn::Tensor>(&input, 1),
+                                 weights, out_bits));
 }
 
 FunctionalLayerRun FunctionalLoomEngine::run_fc(const nn::Layer& layer,
                                                 const nn::Tensor& input,
                                                 const nn::Tensor& weights,
                                                 int out_bits) {
-  LOOM_EXPECTS(layer.kind == nn::LayerKind::kFullyConnected);
-  FunctionalLayerRun run;
-  run.name = layer.name;
-  run.out_bits = out_bits;
-  run.wide = nn::WideTensor(nn::Shape{layer.out.c, 1, 1});
-
-  // FCLs stream the full 16 activation bits; the kernels' accumulators are
-  // exact, so every backend lands the same wide tensor.
-  const nn::Tensor* in_ptr = &input;
-  nn::WideTensor* wide_ptr = &run.wide;
-  dispatch_fc(layer, std::span<const nn::Tensor* const>(&in_ptr, 1), weights,
-              std::span<nn::WideTensor* const>(&wide_ptr, 1), run.backend);
-
-  // Wall-clock cycles: the same cascade-aware model as the analytic
-  // LoomSimulator::simulate_fc — best `ways` slicing plus the cols-1
-  // column-stagger initiation — excluding the analytic kPipelineFill.
-  const std::int64_t ci = layer.in.elements();
-  const FcCascadePlan plan = plan_fc_cascade(
-      opts_.rows, opts_.cols, opts_.lanes, layer.out.c, ci,
-      static_cast<double>(layer.weight_precision),
-      static_cast<double>(kBasePrecision), opts_.cascading);
-  run.cycles = static_cast<std::uint64_t>(
-      std::llround(plan.cycles + static_cast<double>(opts_.cols - 1)));
-  run.mean_streamed_precision = kBasePrecision;
-
-  run.requant_shift = nn::choose_requant_shift(run.wide, out_bits);
-  run.output = nn::requantize(run.wide, run.requant_shift, out_bits, opts_.relu);
-  return run;
+  return solo_run(run_fc_batch(layer, std::span<const nn::Tensor>(&input, 1),
+                               weights, out_bits));
 }
 
 FunctionalBatchLayerRun FunctionalLoomEngine::run_conv_batch(
@@ -214,40 +109,22 @@ FunctionalBatchLayerRun FunctionalLoomEngine::run_conv_batch(
     run.wides.emplace_back(nn::Shape{layer.out.c, layer.out.h, layer.out.w});
   }
 
-  if (resolved_ == "scalar") {
-    // Scalar oracle: a batch *is* N solo runs — the semantics the lane-packed
-    // backends are pinned against. Requests have identical chunk geometry, so
-    // the plain mean over requests equals the chunk-weighted mean. The solo
-    // runs already requantized; keep their shifts and outputs.
-    run.backend = resolved_;
-    double mean_sum = 0.0;
-    for (std::size_t r = 0; r < batch; ++r) {
-      FunctionalLayerRun lr = run_conv(layer, inputs[r], weights, out_bits);
-      run.cycles += lr.cycles;
-      mean_sum += lr.mean_streamed_precision;
-      run.wides[r] = std::move(lr.wide);
-      run.requant_shifts.push_back(lr.requant_shift);
-      run.outputs.push_back(std::move(lr.output));
-    }
-    run.mean_streamed_precision = mean_sum / static_cast<double>(batch);
-  } else {
-    std::vector<const nn::Tensor*> in_ptrs;
-    std::vector<nn::WideTensor*> wide_ptrs;
-    batch_ptrs(inputs, run.wides, in_ptrs, wide_ptrs);
-    const BitsliceEngine::SliceSpec spec{
-        .act_precision = layer.act_precision,
-        .weight_precision = layer.weight_precision,
-        .act_signed = false,
-        .dynamic = opts_.dynamic_act_precision};
-    const BitsliceEngine::ConvStats st =
-        dispatch_conv(layer, in_ptrs, weights, spec, wide_ptrs, run.backend);
-    run.cycles = st.cycles;
-    run.mean_streamed_precision =
-        st.chunks ? st.streamed_pa / static_cast<double>(st.chunks) : 0.0;
-    dispatcher_.note_streamed(st.act_bits_streamed, st.weight_bits_streamed,
-                              st.detect_invocations, st.detect_values);
-    requantize_batch(run, out_bits, opts_.relu);
-  }
+  std::vector<const nn::Tensor*> in_ptrs;
+  std::vector<nn::WideTensor*> wide_ptrs;
+  batch_ptrs(inputs, run.wides, in_ptrs, wide_ptrs);
+  const BitsliceEngine::SliceSpec spec{
+      .act_precision = layer.act_precision,
+      .weight_precision = layer.weight_precision,
+      .act_signed = false,
+      .dynamic = opts_.dynamic_act_precision};
+  const BitsliceEngine::ConvStats st =
+      layers_.run_conv(layer, in_ptrs, weights, spec, wide_ptrs, run.backend);
+  run.cycles = st.cycles;
+  run.mean_streamed_precision =
+      st.chunks ? st.streamed_pa / static_cast<double>(st.chunks) : 0.0;
+  dispatcher_.note_streamed(st.act_bits_streamed, st.weight_bits_streamed,
+                            st.detect_invocations, st.detect_values);
+  requantize_batch(run, out_bits, opts_.relu);
   return run;
 }
 
@@ -265,23 +142,19 @@ FunctionalBatchLayerRun FunctionalLoomEngine::run_fc_batch(
     run.wides.emplace_back(nn::Shape{layer.out.c, 1, 1});
   }
 
-  if (resolved_ == "scalar") {
-    run.backend = resolved_;
-    for (std::size_t r = 0; r < batch; ++r) {
-      FunctionalLayerRun lr = run_fc(layer, inputs[r], weights, out_bits);
-      run.wides[r] = std::move(lr.wide);
-      run.requant_shifts.push_back(lr.requant_shift);
-      run.outputs.push_back(std::move(lr.output));
-    }
-  } else {
-    std::vector<const nn::Tensor*> in_ptrs;
-    std::vector<nn::WideTensor*> wide_ptrs;
-    batch_ptrs(inputs, run.wides, in_ptrs, wide_ptrs);
-    dispatch_fc(layer, in_ptrs, weights, wide_ptrs, run.backend);
-    requantize_batch(run, out_bits, opts_.relu);
-  }
+  std::vector<const nn::Tensor*> in_ptrs;
+  std::vector<nn::WideTensor*> wide_ptrs;
+  batch_ptrs(inputs, run.wides, in_ptrs, wide_ptrs);
+  // FCLs stream the full 16 activation bits; the kernels' accumulators are
+  // exact, so every backend lands the same wide tensors.
+  layers_.run_fc(layer, in_ptrs, weights, layer.weight_precision, wide_ptrs,
+                 run.backend);
+  requantize_batch(run, out_bits, opts_.relu);
 
-  // FC grid cycles have no batch dimension in the cascade model: every image
+  // Wall-clock cycles: the same cascade-aware model as the analytic
+  // LoomSimulator::simulate_fc — best `ways` slicing plus the cols-1
+  // column-stagger initiation — excluding the analytic kPipelineFill. FC
+  // grid cycles have no batch dimension in the cascade model: every image
   // streams its own full-precision activations, so the batch costs N solo
   // passes. The request packing above is a software-throughput win only.
   const std::int64_t ci = layer.in.elements();
@@ -336,41 +209,15 @@ FunctionalBatchNetworkRun FunctionalLoomEngine::run_network_batch(
 FunctionalNetworkRun FunctionalLoomEngine::run_network(
     const nn::Network& net, const nn::Tensor& input,
     std::span<const nn::Tensor> weights) {
-  if (opts_.pre_run_hook) opts_.pre_run_hook();
+  FunctionalBatchNetworkRun batch = run_network_batch(
+      net, std::span<const nn::Tensor>(&input, 1), weights);
   FunctionalNetworkRun run;
-  nn::Tensor current = input;
-  std::size_t weight_index = 0;
-
-  for (std::size_t i = 0; i < net.size(); ++i) {
-    const nn::Layer& layer = net.layer(i);
-    switch (layer.kind) {
-      case nn::LayerKind::kConv: {
-        LOOM_EXPECTS(weight_index < weights.size());
-        FunctionalLayerRun lr = run_conv(layer, current,
-                                         weights[weight_index++],
-                                         consumer_out_bits(net, i));
-        current = lr.output;
-        run.total_cycles += lr.cycles;
-        run.layers.push_back(std::move(lr));
-        break;
-      }
-      case nn::LayerKind::kFullyConnected: {
-        LOOM_EXPECTS(weight_index < weights.size());
-        FunctionalLayerRun lr = run_fc(layer, current, weights[weight_index++],
-                                       consumer_out_bits(net, i));
-        current = lr.output;
-        run.total_cycles += lr.cycles;
-        run.layers.push_back(std::move(lr));
-        break;
-      }
-      case nn::LayerKind::kPool: {
-        current = nn::pool_forward(current, layer);
-        break;
-      }
-    }
+  run.layers.reserve(batch.layers.size());
+  for (FunctionalBatchLayerRun& lr : batch.layers) {
+    run.layers.push_back(solo_run(std::move(lr)));
   }
-  run.output = current;
-  LOOM_ENSURES(weight_index == weights.size());
+  run.output = std::move(batch.outputs.front());
+  run.total_cycles = batch.total_cycles;
   return run;
 }
 

@@ -11,8 +11,9 @@
 // per-layer kPipelineFill constant).
 //
 // Layer math runs on an interchangeable kernel from the backend registry
-// (sim/backend.hpp): the scalar arch::Sip oracle, the bit-sliced fast path,
-// or the LUT kernels — all byte-identical in outputs, cycle counts,
+// (sim/backend.hpp), reached through the shared LayerDispatcher: the scalar
+// arch::Sip oracle, the bit-sliced fast path, or the LUT kernel — all
+// byte-identical in outputs, cycle counts,
 // streamed-precision means and dispatcher/detector statistics (golden-
 // pinned in tests/test_bitslice_engine.cpp, swept by
 // tests/test_backend_differential.cpp). Selection: FunctionalOptions::
@@ -27,8 +28,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -57,7 +56,7 @@ struct FunctionalOptions {
   bool force_scalar = false;
   /// Kernel selection: "" defers to LOOM_FUNCTIONAL_BACKEND, then "auto"
   /// (per-layer autotuned); or a registered name ("scalar", "bitslice",
-  /// "lut", "lut-outer"). Unknown names throw ConfigError at construction.
+  /// "lut"). Unknown names throw ConfigError at construction.
   std::string backend = {};
   /// Invoked at the top of every run_network / run_network_batch call; may
   /// throw, in which case the run fails before touching any state. This is
@@ -111,6 +110,9 @@ class FunctionalLoomEngine {
  public:
   explicit FunctionalLoomEngine(FunctionalOptions opts = {});
 
+  // The solo calls below are batches of one through the batched calls
+  // further down: one layer path and one network walk.
+
   /// Execute one convolutional layer. `weights` is flat [Co][Ci/g][Kh][Kw].
   [[nodiscard]] FunctionalLayerRun run_conv(const nn::Layer& layer,
                                             const nn::Tensor& input,
@@ -142,8 +144,8 @@ class FunctionalLoomEngine {
   // (shift choice included) is per request, so outputs are byte-identical
   // to N solo runs — pinned by tests/test_batch_properties.cpp and the
   // serving stress tests, not assumed. On the scalar oracle a batch is
-  // executed as N solo runs (summed cycles), which is the batching
-  // semantics oracle. FC grid cycles stay per-image (batch = N x solo): the
+  // executed as N solo runs (summed cycles, chunk-weighted mean streamed
+  // precision), which is the batching semantics oracle. FC grid cycles stay per-image (batch = N x solo): the
   // cascade model has no batch dimension; the lane packing is a software
   // throughput win.
 
@@ -165,34 +167,19 @@ class FunctionalLoomEngine {
   [[nodiscard]] const FunctionalOptions& options() const noexcept { return opts_; }
   /// True when layers run on a word-parallel fast path (false = scalar
   /// oracle, via force_scalar / LOOM_FUNCTIONAL_SCALAR / unpackable cols).
-  [[nodiscard]] bool bitsliced() const noexcept { return resolved_ != "scalar"; }
+  [[nodiscard]] bool bitsliced() const noexcept {
+    return layers_.resolved() != "scalar";
+  }
   /// The resolved kernel selection: "scalar", "auto" (per-layer autotuned),
   /// or a concrete registered backend name.
   [[nodiscard]] const std::string& backend_name() const noexcept {
-    return resolved_;
+    return layers_.resolved();
   }
 
  private:
-  /// Lazily construct (and cache) the named backend for this grid.
-  FunctionalBackend& backend_for(const std::string& name);
-  /// Run one conv batch on the selected kernel; under "auto" consults the
-  /// autotuner and feeds the measured wall clock back. `used` reports the
-  /// kernel that ran.
-  BitsliceEngine::ConvStats dispatch_conv(
-      const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
-      const nn::Tensor& weights, const BitsliceEngine::SliceSpec& spec,
-      std::span<nn::WideTensor* const> wides, std::string& used);
-  void dispatch_fc(const nn::Layer& layer,
-                   std::span<const nn::Tensor* const> inputs,
-                   const nn::Tensor& weights,
-                   std::span<nn::WideTensor* const> wides, std::string& used);
-
   FunctionalOptions opts_;
   arch::Dispatcher dispatcher_;
-  BackendContext ctx_;
-  std::string resolved_;  ///< "scalar", "auto", or a concrete backend name
-  std::vector<std::string> candidates_;  ///< tuner candidates under "auto"
-  std::map<std::string, std::unique_ptr<FunctionalBackend>> backends_;
+  LayerDispatcher layers_;
 };
 
 /// True when the process-wide LOOM_FUNCTIONAL_SCALAR escape hatch is set

@@ -458,8 +458,8 @@ inline void build_table_dispatch(common::SimdLevel level, const std::int32_t* a,
 }
 
 /// Accumulate every output feature of one window against the live groups'
-/// tables, `tile` tables at a time (0 = all at once). Tables build once per
-/// tile and serve all `cog` outputs — the T-MAC amortization. `bidx` holds
+/// tables, `tile` tables at a time. Tables build once per tile and serve
+/// all `cog` outputs — the T-MAC amortization. `bidx` holds
 /// each live group's byte offset into a packed weight row (live[t] * pw),
 /// precomputed so the vector walk can gather straight from it.
 template <typename T>
@@ -470,13 +470,12 @@ void accumulate_window(common::SimdLevel level, const std::int32_t* acts,
                        std::int64_t cog, int pw, std::int64_t tile,
                        std::int64_t* acc) {
   const auto n_live = static_cast<std::int64_t>(live.size());
-  const std::int64_t step = tile == 0 ? std::max<std::int64_t>(n_live, 1) : tile;
-  luts.resize(static_cast<std::size_t>(std::min(step, std::max<std::int64_t>(
+  luts.resize(static_cast<std::size_t>(std::min(tile, std::max<std::int64_t>(
                                                           n_live, 1))) *
                   256 +
               lut_kernels::kLutPadEntries);
-  for (std::int64_t t0 = 0; t0 < n_live; t0 += step) {
-    const std::int64_t t1 = std::min(t0 + step, n_live);
+  for (std::int64_t t0 = 0; t0 < n_live; t0 += tile) {
+    const std::int64_t t1 = std::min(t0 + tile, n_live);
     for (std::int64_t ti = t0; ti < t1; ++ti) {
       build_table_dispatch(
           level,
@@ -572,7 +571,7 @@ LutEngine::LutEngine(Options opts) : opts_(opts), simd_(common::simd_level()) {
 
 void LutEngine::conv_slab(const nn::Layer& layer,
                           std::span<const nn::Tensor* const> inputs,
-                          const nn::Tensor& weights, const SliceSpec& spec,
+                          const SliceSpec& spec,
                           std::int64_t g, std::int64_t slab,
                           std::span<nn::WideTensor* const> wides,
                           std::span<const std::uint8_t> wpack,
@@ -709,11 +708,11 @@ void LutEngine::conv_slab(const nn::Layer& layer,
     if (narrow) {
       accumulate_window(simd_, scratch.acts.data(), scratch.live,
                         scratch.bidx.data(), scratch.lut16, wrow0, row_stride,
-                        cog, pw, opts_.group_tile, scratch.acc.data());
+                        cog, pw, kGroupTile, scratch.acc.data());
     } else {
       accumulate_window(simd_, scratch.acts.data(), scratch.live,
                         scratch.bidx.data(), scratch.lut32, wrow0, row_stride,
-                        cog, pw, opts_.group_tile, scratch.acc.data());
+                        cog, pw, kGroupTile, scratch.acc.data());
     }
 
     nn::WideTensor& wide = *wides[static_cast<std::size_t>(gw / windows)];
@@ -772,7 +771,7 @@ LutEngine::ConvStats LutEngine::run_conv_batch(
     const auto hi = static_cast<std::int64_t>(
         (static_cast<std::size_t>(tasks) * (s + 1)) / stripes);
     for (std::int64_t t = lo; t < hi; ++t) {
-      conv_slab(layer, inputs, weights, spec, t / slab_count, t % slab_count,
+      conv_slab(layer, inputs, spec, t / slab_count, t % slab_count,
                 wides, wpack, scratch, stripe_stats[s]);
     }
   };

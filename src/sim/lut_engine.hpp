@@ -92,12 +92,11 @@ class LutEngine {
     int cols = 16;   ///< dynamic-detection group width (stats accounting)
     int lanes = 16;  ///< products per SIP per cycle (stats accounting)
     int jobs = 1;    ///< (group, slab) fan-out over the shared pool; 0 = all
-    /// Conv table tiling: tables live for `group_tile` 8-activation groups
-    /// at a time (tile working set = group_tile * 256 entries, sized for
-    /// L1). 0 = build every group's table up front (the "outer" variant —
-    /// one pass over the weights, larger working set).
-    int group_tile = 64;
   };
+
+  /// Conv table tiling: tables live for this many 8-activation groups at a
+  /// time (tile working set = 64 * 256 entries, sized for L1).
+  static constexpr std::int64_t kGroupTile = 64;
 
   using SliceSpec = BitsliceEngine::SliceSpec;
   using ConvStats = BitsliceEngine::ConvStats;
@@ -106,7 +105,7 @@ class LutEngine {
   /// needs cols <= 64 slabs and lanes <= 32 chunks).
   [[nodiscard]] static bool supports(const Options& opts) noexcept {
     return opts.cols >= 1 && opts.cols <= 64 && opts.lanes >= 1 &&
-           opts.lanes <= 32 && opts.rows >= 1 && opts.group_tile >= 0;
+           opts.lanes <= 32 && opts.rows >= 1;
   }
 
   explicit LutEngine(Options opts);
@@ -149,7 +148,7 @@ class LutEngine {
 
   void conv_slab(const nn::Layer& layer,
                  std::span<const nn::Tensor* const> inputs,
-                 const nn::Tensor& weights, const SliceSpec& spec,
+                 const SliceSpec& spec,
                  std::int64_t g, std::int64_t slab,
                  std::span<nn::WideTensor* const> wides,
                  std::span<const std::uint8_t> wpack, Scratch& scratch,

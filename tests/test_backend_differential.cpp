@@ -257,6 +257,17 @@ TEST(BackendDifferential, ConvAllRegisteredBackendsByteIdentical) {
 
 // ---- FC: every registered backend vs scalar oracle vs reference -----------
 
+/// One FC request through a backend, as a batch of one.
+void run_fc_solo(FunctionalBackend& backend, const nn::Layer& layer,
+                 const nn::Tensor& input, const nn::Tensor& weights,
+                 nn::WideTensor& wide) {
+  const nn::Tensor* in_ptr = &input;
+  nn::WideTensor* wide_ptr = &wide;
+  backend.run_fc_batch(layer, std::span<const nn::Tensor* const>(&in_ptr, 1),
+                       weights, layer.weight_precision,
+                       std::span<nn::WideTensor* const>(&wide_ptr, 1));
+}
+
 TEST(BackendDifferential, FcAllRegisteredBackendsByteIdentical) {
   auto& reg = BackendRegistry::instance();
   for (const std::uint64_t seed : iteration_seeds(0xFCD1FF, 30)) {
@@ -271,8 +282,7 @@ TEST(BackendDifferential, FcAllRegisteredBackendsByteIdentical) {
     auto scalar = scalar_info->make(ctx);
     std::vector<nn::WideTensor> oracle = make_wides(wide_shape, batch);
     for (std::size_t r = 0; r < batch; ++r) {
-      scalar->run_fc(c.layer, c.inputs[r], c.weights, c.layer.weight_precision,
-                     oracle[r]);
+      run_fc_solo(*scalar, c.layer, c.inputs[r], c.weights, oracle[r]);
       EXPECT_EQ(oracle[r], nn::fc_forward(c.inputs[r], c.weights, c.layer))
           << "oracle vs reference, request " << r;
     }
@@ -297,10 +307,9 @@ TEST(BackendDifferential, FcAllRegisteredBackendsByteIdentical) {
       for (std::size_t r = 0; r < batch; ++r) {
         EXPECT_EQ(wides[r], oracle[r]) << "batched request " << r;
       }
-      // ...and the solo entry point on the first request.
+      // ...and a solo request, as a batch of one, on the first request.
       nn::WideTensor solo(wide_shape);
-      backend->run_fc(c.layer, c.inputs[0], c.weights,
-                      c.layer.weight_precision, solo);
+      run_fc_solo(*backend, c.layer, c.inputs[0], c.weights, solo);
       EXPECT_EQ(solo, oracle[0]);
     }
   }
@@ -333,18 +342,12 @@ TEST(BackendRegistryTest, RegisteredBackendJoinsSweepAndResolution) {
               : eng_({.rows = c.rows,
                       .cols = c.cols,
                       .lanes = c.lanes,
-                      .jobs = c.jobs,
-                      .group_tile = 16}) {}
+                      .jobs = c.jobs}) {}
           BitsliceEngine::ConvStats run_conv_batch(
               const nn::Layer& l, std::span<const nn::Tensor* const> in,
               const nn::Tensor& w, const BitsliceEngine::SliceSpec& s,
               std::span<nn::WideTensor* const> out) override {
             return eng_.run_conv_batch(l, in, w, s, out);
-          }
-          void run_fc(const nn::Layer& l, const nn::Tensor& in,
-                      const nn::Tensor& w, int pw,
-                      nn::WideTensor& out) override {
-            eng_.run_fc(l, in, w, pw, out);
           }
           void run_fc_batch(const nn::Layer& l,
                             std::span<const nn::Tensor* const> in,
@@ -395,7 +398,6 @@ TEST(BackendResolution, PrecedenceAndFallbacks) {
   // Explicit registered names resolve to themselves on a packable grid...
   EXPECT_EQ(resolve_backend_name("bitslice", false, ok), "bitslice");
   EXPECT_EQ(resolve_backend_name("lut", false, ok), "lut");
-  EXPECT_EQ(resolve_backend_name("lut-outer", false, ok), "lut-outer");
   EXPECT_EQ(resolve_backend_name("scalar", false, ok), "scalar");
   // ...and fall back to the scalar oracle on an unpackable one (the
   // historical cols>64 behavior).

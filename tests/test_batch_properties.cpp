@@ -14,6 +14,7 @@
 // to replay just that case (iteration count drops to 1).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -201,6 +202,60 @@ TEST(BatchProperties, FcBatchedMatchesScalarOracleAndReference) {
       EXPECT_EQ(batched.wides[r],
                 nn::fc_forward(c.inputs[r], c.weights, c.layer));
     }
+  }
+}
+
+// ---- Scalar oracle: a batch is N solo runs --------------------------------
+
+// The scalar oracle's batch semantics (functional.hpp): cycles are the sum of
+// the N solo runs, and the streamed-precision mean is the solo runs'
+// chunk-weighted mean. Each request streams the same number of chunks — one
+// per (group, filter block, window block, input chunk) — and every chunk's Pa
+// is an integer, so the weighted mean is exact.
+TEST(BatchProperties, ScalarBatchIsSumOfSoloRuns) {
+  for (const std::uint64_t seed : iteration_seeds(0x5CA1A, 20)) {
+    SCOPED_TRACE("LOOM_BATCH_PROP_SEED=" + std::to_string(seed));
+    const Case c = random_conv_case(seed);
+    FunctionalOptions opts = random_grid(seed);
+    opts.force_scalar = true;
+    FunctionalLoomEngine eng(opts);
+    ASSERT_FALSE(eng.bitsliced());
+
+    const FunctionalBatchLayerRun conv =
+        eng.run_conv_batch(c.layer, c.inputs, c.weights, kBasePrecision);
+    const std::int64_t chunks =
+        c.layer.groups *
+        ceil_div(c.layer.group_out_channels(),
+                 static_cast<std::int64_t>(opts.rows)) *
+        ceil_div(c.layer.windows(), static_cast<std::int64_t>(opts.cols)) *
+        ceil_div(c.layer.inner_length(), static_cast<std::int64_t>(opts.lanes));
+    std::uint64_t cycles = 0;
+    double streamed_pa = 0.0;
+    for (std::size_t r = 0; r < c.inputs.size(); ++r) {
+      const FunctionalLayerRun solo =
+          eng.run_conv(c.layer, c.inputs[r], c.weights, kBasePrecision);
+      cycles += solo.cycles;
+      streamed_pa += std::round(solo.mean_streamed_precision *
+                                static_cast<double>(chunks));
+      EXPECT_EQ(conv.wides[r], solo.wide) << "request " << r;
+    }
+    EXPECT_EQ(conv.cycles, cycles);
+    EXPECT_EQ(conv.mean_streamed_precision,
+              streamed_pa / static_cast<double>(
+                                chunks * static_cast<std::int64_t>(
+                                             c.inputs.size())));
+
+    const Case fc = random_fc_case(seed);
+    const FunctionalBatchLayerRun fcb =
+        eng.run_fc_batch(fc.layer, fc.inputs, fc.weights, kBasePrecision);
+    std::uint64_t fc_cycles = 0;
+    for (std::size_t r = 0; r < fc.inputs.size(); ++r) {
+      const FunctionalLayerRun solo =
+          eng.run_fc(fc.layer, fc.inputs[r], fc.weights, kBasePrecision);
+      fc_cycles += solo.cycles;
+      EXPECT_EQ(fcb.mean_streamed_precision, solo.mean_streamed_precision);
+    }
+    EXPECT_EQ(fcb.cycles, fc_cycles);
   }
 }
 

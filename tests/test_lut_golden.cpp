@@ -97,7 +97,7 @@ TEST(LutGolden, ConvDigestsOnZooLayers) {
     const nn::Tensor weights = synth(nn::Shape{layer.weight_count()},
                                      layer.weight_precision, true, 0x10CAu, 9);
     std::uint64_t first = 0;
-    for (const char* backend : {"lut", "lut-outer", "bitslice"}) {
+    for (const char* backend : {"lut", "bitslice"}) {
       SCOPED_TRACE(backend);
       FunctionalLoomEngine eng(
           FunctionalOptions{.jobs = 1, .backend = backend});
@@ -119,7 +119,7 @@ TEST(LutGolden, FcDigestOnAlexnetFc8) {
   const nn::Tensor weights = synth(nn::Shape{layer.weight_count()},
                                    layer.weight_precision, true, 0xFC8u, 9);
   std::uint64_t first = 0;
-  for (const char* backend : {"lut", "lut-outer", "bitslice"}) {
+  for (const char* backend : {"lut", "bitslice"}) {
     SCOPED_TRACE(backend);
     FunctionalLoomEngine eng(FunctionalOptions{.jobs = 1, .backend = backend});
     const FunctionalLayerRun run =
@@ -166,7 +166,7 @@ TEST_F(AutotunerTest, PinnedTimingsGiveSameChoiceEverywhere) {
       [](const TuneKey&, const std::string& backend) -> std::uint64_t {
         if (backend == "lut") return 100;
         if (backend == "bitslice") return 200;
-        return 300;  // lut-outer
+        return 300;
       });
 
   const nn::Layer layer = small_layer();
@@ -186,7 +186,7 @@ TEST_F(AutotunerTest, PinnedTimingsGiveSameChoiceEverywhere) {
   ASSERT_EQ(ds.size(), 1u);
   EXPECT_EQ(ds[0].winner, "lut");
   EXPECT_FALSE(ds[0].pinned);
-  EXPECT_EQ(ds[0].samples.size(), 3u);
+  EXPECT_EQ(ds[0].samples.size(), 2u);
 
   // Memoization beats new (different) timings: flipping the override does
   // not flip a decided cell...
