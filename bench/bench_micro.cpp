@@ -538,6 +538,33 @@ void BM_LutTableBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_LutTableBuild)->Arg(0)->Arg(1)->Arg(2);
 
+void BM_LutPackRow(benchmark::State& state) {
+  // Weight bit-plane packing of one AlexNet fc6 row (9216 weights, Pw 10)
+  // into the [g8][b] slice layout, per SIMD tier (arg 0 = scalar, 1 = avx2,
+  // 2 = avx512; clamped to the host, the label reports the tier run). The
+  // FC path packs one such row per output neuron per request.
+  const auto requested = static_cast<common::SimdLevel>(state.range(0));
+  const common::SimdLevel level =
+      std::min(requested, common::hardware_simd_level());
+  constexpr std::int64_t kWeights = 9216;
+  constexpr int kPw = 10;
+  nn::SyntheticSpec wsp{.precision = kPw, .alpha = 1.2, .is_signed = true};
+  const nn::Tensor weights = nn::make_weight_tensor(kWeights, wsp, 2, 1);
+  std::vector<std::uint8_t> row(
+      static_cast<std::size_t>(kWeights / 8 * kPw) +
+      sim::lut_kernels::kWeightPadBytes);
+  for (auto _ : state) {
+    sim::lut_kernels::pack_row(level, weights.data().data(), kWeights,
+                               (1u << kPw) - 1, row.data(), kPw);
+    benchmark::DoNotOptimize(row.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(std::string("tier=") + common::simd_level_name(level));
+  // Weights packed per second.
+  state.SetItemsProcessed(state.iterations() * kWeights);
+}
+BENCHMARK(BM_LutPackRow)->Arg(0)->Arg(1)->Arg(2);
+
 void BM_AutotunerColdStart(benchmark::State& state) {
   // What LOOM_AUTOTUNE_CACHE buys at process start. Each iteration plays a
   // fresh "process" deciding the low-Pw cell: cold (arg 0) explores every

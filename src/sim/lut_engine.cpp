@@ -35,17 +35,38 @@ inline std::int32_t sext16(std::uint32_t raw) noexcept {
 /// Pack the pw 1-bit weight slices of one 8-element group into `out[b]`
 /// (bit j of out[b] = bit b of weights w[j] masked to pw bits). Cost is
 /// proportional to the set bits, so low-Pw rows pack in a handful of ops.
-inline void pack_group_slices(const nn::Tensor& weights, std::int64_t base,
-                              std::int64_t navail, std::uint32_t w_mask,
-                              std::uint8_t* out, int pw) noexcept {
+inline void pack_group_slices(const std::int16_t* w, std::int64_t navail,
+                              std::uint32_t w_mask, std::uint8_t* out,
+                              int pw) noexcept {
   std::memset(out, 0, static_cast<std::size_t>(pw));
   for (std::int64_t j = 0; j < navail; ++j) {
-    std::uint32_t wv =
-        static_cast<std::uint16_t>(weights.flat(base + j)) & w_mask;
+    std::uint32_t wv = static_cast<std::uint16_t>(w[j]) & w_mask;
     const auto jbit = static_cast<std::uint8_t>(1u << j);
     while (wv != 0) {
       out[std::countr_zero(wv)] |= jbit;
       wv &= wv - 1;
+    }
+  }
+}
+
+/// Scalar whole-row packing: the per-group loop (and the reference every
+/// vector tier must match byte for byte).
+inline void pack_row_scalar(const std::int16_t* w, std::int64_t n,
+                            std::uint32_t w_mask, std::uint8_t* out,
+                            int pw) noexcept {
+  for (std::int64_t g8 = 0; g8 * 8 < n; ++g8) {
+    pack_group_slices(w + g8 * 8, std::min<std::int64_t>(8, n - g8 * 8),
+                      w_mask, out + g8 * pw, pw);
+  }
+}
+
+/// Spread per-bit 32-weight masks (byte k of m[b] = slice b of group k)
+/// into the [g8][b] layout for the first `groups` groups.
+inline void scatter_slices(const std::uint32_t* m, std::int64_t groups,
+                           std::uint8_t* out, int pw) noexcept {
+  for (std::int64_t k = 0; k < groups; ++k, out += pw) {
+    for (int b = 0; b < pw; ++b) {
+      out[b] = static_cast<std::uint8_t>(m[b] >> (8 * k));
     }
   }
 }
@@ -426,6 +447,94 @@ __attribute__((target("avx512f"))) std::int64_t accumulate_i32_avx512(
   return sum;
 }
 
+// ---------------------------------------------------------------------------
+// Vector weight-row packing. A step takes 32 weights (4 groups) and yields
+// one 32-bit mask per weight bit b, byte k holding group k's slice b. The
+// short last step reads its missing weights as zero and stores only the
+// groups that exist, so nothing past ceil(n/8) * pw is written.
+
+/// AVX2: split the masked weights into a low-byte and a high-byte plane
+/// (packus interleaves 128-bit halves; permute4x64 restores weight order),
+/// then per bit shift it to each byte's top and movemask. The 16-bit shift
+/// only carries low-byte bits into the high byte's *lower* bits, so bit 7
+/// of every byte is exactly bit b of that byte.
+__attribute__((target("avx2"))) inline void pack_step_avx2(
+    const std::int16_t* w, __m256i mask, std::uint32_t* m, int pw) noexcept {
+  const __m256i v0 = _mm256_and_si256(
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w)), mask);
+  const __m256i v1 = _mm256_and_si256(
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 16)), mask);
+  const __m256i low = _mm256_set1_epi16(0xFF);
+  const __m256i lo = _mm256_permute4x64_epi64(
+      _mm256_packus_epi16(_mm256_and_si256(v0, low), _mm256_and_si256(v1, low)),
+      0xD8);
+  const __m256i hi = _mm256_permute4x64_epi64(
+      _mm256_packus_epi16(_mm256_srli_epi16(v0, 8), _mm256_srli_epi16(v1, 8)),
+      0xD8);
+  for (int b = 0; b < pw; ++b) {
+    const __m256i plane = b < 8 ? lo : hi;
+    const __m256i top =
+        _mm256_sll_epi16(plane, _mm_cvtsi32_si128(7 - (b & 7)));
+    m[b] = static_cast<std::uint32_t>(_mm256_movemask_epi8(top));
+  }
+}
+
+__attribute__((target("avx2"))) void pack_row_avx2(
+    const std::int16_t* w, std::int64_t n, std::uint32_t w_mask,
+    std::uint8_t* out, int pw) noexcept {
+  const __m256i mask = _mm256_set1_epi16(static_cast<short>(w_mask));
+  std::uint32_t m[16] = {};
+  std::int64_t i = 0;
+  for (; i + 32 <= n; i += 32, out += 4 * pw) {
+    pack_step_avx2(w + i, mask, m, pw);
+    scatter_slices(m, 4, out, pw);
+  }
+  if (i < n) {
+    std::int16_t tail[32] = {};
+    std::memcpy(tail, w + i, static_cast<std::size_t>(n - i) * sizeof(*w));
+    pack_step_avx2(tail, mask, m, pw);
+    scatter_slices(m, ceil_div(n - i, std::int64_t{8}), out, pw);
+  }
+}
+
+/// AVX-512BW: one masked load of 32 weights (lanes past n read as zero and
+/// never fault), then one test_epi16_mask per weight bit. The 16 masks,
+/// reloaded as one zmm (byte 4b + k = group k's slice b), transpose to
+/// group-major (byte 16k + b) by a byte shuffle within each 128-bit lane
+/// and a 4x4 dword transpose across lanes; each group's first pw bytes then
+/// go out in one byte-masked store.
+__attribute__((target("avx512f,avx512bw"))) void pack_row_avx512(
+    const std::int16_t* w, std::int64_t n, std::uint32_t w_mask,
+    std::uint8_t* out, int pw) noexcept {
+  const __m512i mask = _mm512_set1_epi16(static_cast<short>(w_mask));
+  const __m512i lane_shuffle = _mm512_set4_epi32(0x0F0B0703, 0x0E0A0602,
+                                                 0x0D090501, 0x0C080400);
+  const __m512i lane_transpose = _mm512_setr_epi32(0, 4, 8, 12, 1, 5, 9, 13,
+                                                   2, 6, 10, 14, 3, 7, 11, 15);
+  const auto slice_bytes = static_cast<__mmask64>((std::uint64_t{1} << pw) - 1);
+  alignas(64) std::uint32_t m[16] = {};
+  for (std::int64_t i = 0; i < n; i += 32, out += 4 * pw) {
+    const std::int64_t rem = n - i;
+    const __mmask32 lanes =
+        rem >= 32 ? ~__mmask32{0}
+                  : static_cast<__mmask32>((std::uint32_t{1} << rem) - 1);
+    const __m512i v =
+        _mm512_and_si512(_mm512_maskz_loadu_epi16(lanes, w + i), mask);
+    for (int b = 0; b < pw; ++b) {
+      m[b] = _mm512_test_epi16_mask(
+          v, _mm512_set1_epi16(static_cast<short>(1u << b)));
+    }
+    __m512i group = _mm512_permutexvar_epi32(
+        lane_transpose,
+        _mm512_shuffle_epi8(_mm512_load_si512(m), lane_shuffle));
+    const std::int64_t groups = std::min<std::int64_t>(4, ceil_div(rem, 8));
+    for (std::int64_t k = 0; k < groups; ++k) {
+      _mm512_mask_storeu_epi8(out + k * pw, slice_bytes, group);
+      group = _mm512_alignr_epi32(group, group, 4);  // next group's lane down
+    }
+  }
+}
+
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
 #endif
@@ -560,6 +669,23 @@ std::int64_t accumulate_i32(common::SimdLevel level, const std::int32_t* luts,
   (void)level;
 #endif
   return accumulate_scalar(luts, wbytes, bidx, n, pw);
+}
+
+void pack_row(common::SimdLevel level, const std::int16_t* w, std::int64_t n,
+              std::uint32_t w_mask, std::uint8_t* out, int pw) noexcept {
+#if defined(LOOM_LUT_X86)
+  const common::SimdLevel hw = common::hardware_simd_level();
+  if (hw < level) level = hw;
+  if (level >= common::SimdLevel::kAvx512) {
+    return pack_row_avx512(w, n, w_mask, out, pw);
+  }
+  if (level >= common::SimdLevel::kAvx2) {
+    return pack_row_avx2(w, n, w_mask, out, pw);
+  }
+#else
+  (void)level;
+#endif
+  pack_row_scalar(w, n, w_mask, out, pw);
 }
 
 }  // namespace lut_kernels
@@ -736,31 +862,40 @@ LutEngine::ConvStats LutEngine::run_conv_batch(
   LOOM_EXPECTS(!(spec.act_signed && spec.dynamic));
   LOOM_EXPECTS(layer.inner_length() < kMaxInner);
 
-  // Weight slices pack once per call (shared, read-only across stripes):
+  // Weight slices pack once per call, one row per output feature, striped
+  // over the pool (read-only afterwards, shared by every task):
   // wpack[co][g8][b] holds bit b of output co's masked weights in group g8.
   const std::int64_t inner = layer.inner_length();
-  const std::int64_t g8_count = ceil_div(inner, std::int64_t{8});
   const int pw = spec.weight_precision;
+  const std::int64_t row_stride = ceil_div(inner, std::int64_t{8}) * pw;
   const auto w_mask =
       static_cast<std::uint32_t>((std::uint32_t{1} << pw) - 1);
   std::vector<std::uint8_t> wpack(static_cast<std::size_t>(layer.out.c) *
-                                      static_cast<std::size_t>(g8_count) *
-                                      static_cast<std::size_t>(pw) +
+                                      static_cast<std::size_t>(row_stride) +
                                   lut_kernels::kWeightPadBytes);
-  for (std::int64_t co = 0; co < layer.out.c; ++co) {
-    for (std::int64_t g8 = 0; g8 < g8_count; ++g8) {
-      const std::int64_t base = co * inner + g8 * 8;
-      const std::int64_t navail = std::min<std::int64_t>(8, inner - g8 * 8);
-      pack_group_slices(weights, base, navail, w_mask,
-                        wpack.data() + (co * g8_count + g8) * pw, pw);
+  const std::size_t jobs = resolve_jobs(opts_.jobs);
+  const std::size_t pack_stripes = std::min<std::size_t>(
+      jobs, static_cast<std::size_t>(std::max<std::int64_t>(layer.out.c, 1)));
+  const auto pack_rows = [&](std::size_t s) {
+    const auto lo = static_cast<std::int64_t>(
+        (static_cast<std::size_t>(layer.out.c) * s) / pack_stripes);
+    const auto hi = static_cast<std::int64_t>(
+        (static_cast<std::size_t>(layer.out.c) * (s + 1)) / pack_stripes);
+    for (std::int64_t co = lo; co < hi; ++co) {
+      lut_kernels::pack_row(simd_, weights.data().data() + co * inner, inner,
+                            w_mask, wpack.data() + co * row_stride, pw);
     }
+  };
+  if (pack_stripes <= 1) {
+    pack_rows(0);
+  } else {
+    shared_pool().parallel_for(pack_stripes, pack_rows);
   }
 
   const std::int64_t total_windows =
       layer.windows() * static_cast<std::int64_t>(inputs.size());
   const std::int64_t slab_count = ceil_div(total_windows, slab_windows_);
   const std::int64_t tasks = layer.groups * slab_count;
-  const std::size_t jobs = resolve_jobs(opts_.jobs);
   const std::size_t stripes =
       std::min<std::size_t>(jobs, static_cast<std::size_t>(tasks));
 
@@ -859,16 +994,17 @@ void LutEngine::run_fc(const nn::Layer& layer, const nn::Tensor& input,
           luts32.data() + ti * 256);
     }
   }
-  // Per-neuron packed rows hold only the live groups, so the lookup walk's
-  // byte offsets are simply ti * pw — shared across all neurons.
+  // Each neuron's full weight row packs into stripe scratch, so the walk
+  // gathers the live groups' slices at their absolute offsets live[t] * pw
+  // — shared across all neurons.
   std::vector<std::int32_t> bidx(static_cast<std::size_t>(n_live));
   for (std::int64_t ti = 0; ti < n_live; ++ti) {
-    bidx[static_cast<std::size_t>(ti)] = static_cast<std::int32_t>(ti * pw);
+    bidx[static_cast<std::size_t>(ti)] =
+        live[static_cast<std::size_t>(ti)] * pw;
   }
 
-  // Output neurons are independent: stripe over the pool. Weight slices
-  // pack per neuron into stripe scratch — only the live groups, so dead
-  // input stretches skip their weight walk entirely.
+  // Output neurons are independent: stripe over the pool. An all-dead
+  // input sums to zero without packing a row.
   const std::size_t stripes = std::min<std::size_t>(
       resolve_jobs(opts_.jobs),
       static_cast<std::size_t>(std::max<std::int64_t>(layer.out.c, 1)));
@@ -877,22 +1013,21 @@ void LutEngine::run_fc(const nn::Layer& layer, const nn::Tensor& input,
         (static_cast<std::size_t>(layer.out.c) * s) / stripes);
     const auto hi = static_cast<std::int64_t>(
         (static_cast<std::size_t>(layer.out.c) * (s + 1)) / stripes);
-    row.resize(static_cast<std::size_t>(std::max<std::int64_t>(n_live, 1)) *
+    row.resize(static_cast<std::size_t>(g8_count) *
                    static_cast<std::size_t>(pw) +
                lut_kernels::kWeightPadBytes);
     for (std::int64_t co = lo; co < hi; ++co) {
-      const std::int64_t wrow = co * ci;
-      for (std::int64_t ti = 0; ti < n_live; ++ti) {
-        const std::int64_t g8 = live[static_cast<std::size_t>(ti)];
-        pack_group_slices(weights, wrow + g8 * 8,
-                          std::min<std::int64_t>(8, ci - g8 * 8), w_mask,
-                          row.data() + ti * pw, pw);
+      std::int64_t sum = 0;
+      if (n_live > 0) {
+        lut_kernels::pack_row(simd_, weights.data().data() + co * ci, ci,
+                              w_mask, row.data(), pw);
+        sum = narrow ? lut_kernels::accumulate_i16(simd_, luts16.data(),
+                                                   row.data(), bidx.data(),
+                                                   n_live, pw)
+                     : lut_kernels::accumulate_i32(simd_, luts32.data(),
+                                                   row.data(), bidx.data(),
+                                                   n_live, pw);
       }
-      const std::int64_t sum =
-          narrow ? lut_kernels::accumulate_i16(simd_, luts16.data(), row.data(),
-                                               bidx.data(), n_live, pw)
-                 : lut_kernels::accumulate_i32(simd_, luts32.data(), row.data(),
-                                               bidx.data(), n_live, pw);
       wide.set_flat(co, sum);
     }
   };

@@ -44,13 +44,15 @@
 
 namespace loom::sim {
 
-/// The engine's two hot loops as standalone kernels with an explicit SIMD
-/// tier, runtime-dispatched (scalar / AVX2 / AVX-512) behind the shared
-/// common/cpuid probe. Exposed so benches and tests can pit tiers against
-/// each other directly; the engine itself calls them at common::simd_level().
-/// Every tier computes bit-exact identical results — the vector paths are
-/// pure integer reassociations of the scalar fill/walk, so the registry-wide
-/// byte-identity contract holds under any forced tier.
+/// The engine's hot loops (table build, lookup walk, weight-row packing) as
+/// standalone kernels with an explicit SIMD tier, runtime-dispatched
+/// (scalar / AVX2 / AVX-512) behind the shared common/cpuid probe. Exposed
+/// so benches and tests can pit tiers against each other directly; the
+/// engine itself calls them at common::simd_level(). Every tier computes
+/// bit-exact identical results — the vector fill/walk are pure integer
+/// reassociations of the scalar ones and the vector packs emit the same
+/// bytes — so the registry-wide byte-identity contract holds under any
+/// forced tier.
 namespace lut_kernels {
 
 /// Padding contract for the vector paths: dword gathers may *read* (never
@@ -83,6 +85,17 @@ std::int64_t accumulate_i32(common::SimdLevel level, const std::int32_t* luts,
                             const std::int32_t* bidx, std::int64_t n,
                             int pw) noexcept;
 
+/// Weight bit-plane packing of one whole row of `n` weights into the
+/// [g8][b] slice layout the walk gathers from: out[g8 * pw + b] holds, in
+/// bit j, bit b of (uint16(w[g8 * 8 + j]) & w_mask), with a short last
+/// group zero-filled. Writes exactly ceil(n / 8) * pw bytes and reads
+/// exactly n weights. Tiers: scalar (per set bit), AVX2 (byte planes +
+/// shift/movemask), AVX-512BW (one test_epi16_mask per weight bit); both
+/// vector tiers take 32 weights (4 groups) a step. The requested tier is
+/// clamped to what the hardware supports.
+void pack_row(common::SimdLevel level, const std::int16_t* w, std::int64_t n,
+              std::uint32_t w_mask, std::uint8_t* out, int pw) noexcept;
+
 }  // namespace lut_kernels
 
 class LutEngine {
@@ -112,7 +125,8 @@ class LutEngine {
 
   /// Batched convolution, same window-concatenation semantics and stats as
   /// BitsliceEngine::run_conv_batch. Accumulators land in wides[r]
-  /// (preallocated, one per input).
+  /// (preallocated, one per input). Weight rows pack once per call,
+  /// striped over the shared pool.
   ConvStats run_conv_batch(const nn::Layer& layer,
                            std::span<const nn::Tensor* const> inputs,
                            const nn::Tensor& weights, const SliceSpec& spec,
@@ -120,7 +134,8 @@ class LutEngine {
 
   /// Fully-connected layer: signed 16-bit activations, `weight_precision`
   /// two's-complement weight planes. Tables build once per request over
-  /// the whole input, then every output neuron is Pw lookups per group.
+  /// the whole input; every output neuron then packs its full weight row
+  /// (lut_kernels::pack_row) and walks Pw lookups per live group.
   void run_fc(const nn::Layer& layer, const nn::Tensor& input,
               const nn::Tensor& weights, int weight_precision,
               nn::WideTensor& wide);
@@ -143,7 +158,6 @@ class LutEngine {
     std::vector<std::int32_t> lut32;     ///< tables, wide entries
     std::vector<std::int16_t> lut16;     ///< tables, narrow entries
     std::vector<std::int64_t> acc;       ///< per-output accumulators
-    std::vector<std::uint8_t> wpack;     ///< packed weight slices [co][g8][b]
   };
 
   void conv_slab(const nn::Layer& layer,

@@ -315,6 +315,99 @@ TEST(BackendDifferential, FcAllRegisteredBackendsByteIdentical) {
   }
 }
 
+// ---- FC with mostly dead input groups --------------------------------------
+
+/// FC inputs where most 8-activation groups are all zero: live groups sit
+/// every `period`-th group from offset `phase` (>= 1), so they never touch
+/// and group 0 is dead; the last group (short, since ci % 8 != 0) is forced
+/// dead too. The LUT walk gathers the live groups' slices out of a full
+/// packed weight row, so its absolute offsets are what this pins.
+Case sparse_fc_case(std::uint64_t seed) {
+  constexpr std::int64_t kInner[] = {9, 45, 75, 203, 333, 1001};
+  SequentialRng rng(seed, 5);
+  const std::int64_t ci = kInner[rng.next_below(std::size(kInner))];
+  const auto period = static_cast<std::int64_t>(2 + rng.next_below(4));
+  const auto phase = 1 + static_cast<std::int64_t>(rng.next_below(
+                             static_cast<std::uint64_t>(period - 1)));
+  const int co = 1 + static_cast<int>(rng.next_below(80));
+  const int pw = 1 + static_cast<int>(rng.next_below(16));
+  const int batch = 1 + static_cast<int>(rng.next_below(4));
+  const std::int64_t g8_count = (ci + 7) / 8;
+
+  Case c{nn::make_fc("sparse_fc", nn::Shape3{ci, 1, 1}, co), {}, nn::Tensor{}};
+  c.layer.weight_precision = pw;
+  for (int r = 0; r < batch; ++r) {
+    nn::Tensor t = random_tensor(nn::Shape{ci}, kBasePrecision,
+                                 /*is_signed=*/true, rng, 300 + r, 0.0);
+    for (std::int64_t g8 = 0; g8 < g8_count; ++g8) {
+      const bool live = g8 % period == phase && g8 != g8_count - 1;
+      for (std::int64_t i = g8 * 8; i < std::min(ci, g8 * 8 + 8); ++i) {
+        if (!live) {
+          t.set_flat(i, 0);
+        } else if (t.flat(i) == 0) {
+          t.set_flat(i, 1);  // keep the group live
+        }
+      }
+    }
+    c.inputs.push_back(std::move(t));
+  }
+  c.weights = random_tensor(nn::Shape{c.layer.weight_count()}, pw,
+                            /*is_signed=*/true, rng, 997, 0.05);
+  return c;
+}
+
+TEST(BackendDifferential, FcSparseInputsAllBackendsMatchReference) {
+  auto& reg = BackendRegistry::instance();
+  for (const std::uint64_t seed : iteration_seeds(0x5FA25E, 24)) {
+    SCOPED_TRACE("LOOM_BACKEND_PROP_SEED=" + std::to_string(seed));
+    const Case c = sparse_fc_case(seed);
+    const BackendContext ctx = random_ctx(seed);
+    const std::size_t batch = c.inputs.size();
+    const nn::Shape wide_shape{c.layer.out.c, 1, 1};
+    ASSERT_NE(c.layer.in.elements() % 8, 0);
+
+    std::vector<nn::WideTensor> want;
+    for (const nn::Tensor& in : c.inputs) {
+      // At least half the 8-groups are dead, including the first and last.
+      std::int64_t dead = 0;
+      const std::int64_t g8_count = (in.elements() + 7) / 8;
+      std::vector<bool> group_dead(static_cast<std::size_t>(g8_count), true);
+      for (std::int64_t i = 0; i < in.elements(); ++i) {
+        if (in.flat(i) != 0) group_dead[static_cast<std::size_t>(i / 8)] = false;
+      }
+      for (const bool d : group_dead) dead += d ? 1 : 0;
+      ASSERT_GE(2 * dead, g8_count);
+      ASSERT_TRUE(group_dead.front());
+      ASSERT_TRUE(group_dead.back());
+      want.push_back(nn::fc_forward(in, c.weights, c.layer));
+    }
+
+    for (const std::string& name : reg.names()) {
+      SCOPED_TRACE("backend " + name);
+      const BackendInfo* info = reg.find(name);
+      ASSERT_NE(info, nullptr);
+      if (!info->supports(ctx)) continue;
+      auto backend = info->make(ctx);
+
+      std::vector<nn::WideTensor> wides = make_wides(wide_shape, batch);
+      std::vector<const nn::Tensor*> in_ptrs;
+      std::vector<nn::WideTensor*> wide_ptrs;
+      for (std::size_t r = 0; r < batch; ++r) {
+        in_ptrs.push_back(&c.inputs[r]);
+        wide_ptrs.push_back(&wides[r]);
+      }
+      backend->run_fc_batch(c.layer, in_ptrs, c.weights,
+                            c.layer.weight_precision, wide_ptrs);
+      for (std::size_t r = 0; r < batch; ++r) {
+        EXPECT_EQ(wides[r], want[r]) << "batched request " << r;
+      }
+      nn::WideTensor solo(wide_shape);
+      run_fc_solo(*backend, c.layer, c.inputs[0], c.weights, solo);
+      EXPECT_EQ(solo, want[0]);
+    }
+  }
+}
+
 // ---- Registration is the coverage mechanism -------------------------------
 
 // A backend registered by a test (or a future PR) is picked up by the same

@@ -7,6 +7,10 @@
 // bit-sliced engine must produce the *same* digest: byte-identity is the
 // contract, the constant just anchors it to history.
 //
+// The pack_row tests pin every SIMD tier of the weight bit-plane packing
+// to an independent per-group reference, byte for byte, and check that no
+// tier writes past the packed row.
+//
 // The autotuner tests drive the real choose/record path with a
 // deterministic timing override (and the LOOM_AUTOTUNE_PIN escape hatch)
 // and assert that decisions are reproducible: pinned timings give the same
@@ -14,16 +18,20 @@
 // and registry re-resolution, and a pin beats measurements.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "common/cpuid.hpp"
 #include "common/rng.hpp"
 #include "golden.hpp"
 #include "nn/zoo/zoo.hpp"
 #include "quant/profiles.hpp"
 #include "sim/backend.hpp"
 #include "sim/functional.hpp"
+#include "sim/lut_engine.hpp"
 
 namespace loom::sim {
 namespace {
@@ -129,6 +137,73 @@ TEST(LutGolden, FcDigestOnAlexnetFc8) {
     if (first == 0) first = d;
     EXPECT_EQ(d, first) << "backends disagree";
     EXPECT_EQ(d, kGoldenAlexnetFc8) << std::hex << "digest 0x" << d;
+  }
+}
+
+// ---- Weight-row packing tiers ---------------------------------------------
+
+/// Per-group reference for the [g8][b] slice layout, written from the
+/// definition: bit j of byte (g8 * pw + b) is bit b of weight g8 * 8 + j.
+std::vector<std::uint8_t> reference_pack(const std::vector<std::int16_t>& w,
+                                         std::uint32_t w_mask, int pw) {
+  const std::size_t groups = (w.size() + 7) / 8;
+  std::vector<std::uint8_t> out(groups * static_cast<std::size_t>(pw), 0);
+  for (std::size_t g8 = 0; g8 < groups; ++g8) {
+    for (std::size_t j = 0; j < 8 && g8 * 8 + j < w.size(); ++j) {
+      const std::uint32_t u = static_cast<std::uint16_t>(w[g8 * 8 + j]) & w_mask;
+      for (int b = 0; b < pw; ++b) {
+        if ((u >> b) & 1u) {
+          out[g8 * static_cast<std::size_t>(pw) + static_cast<std::size_t>(b)] |=
+              static_cast<std::uint8_t>(1u << j);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(LutPackRow, EveryTierMatchesPerGroupReference) {
+  std::vector<std::int64_t> lengths;
+  for (std::int64_t n = 1; n <= 40; ++n) lengths.push_back(n);
+  // conv1's inner length (3 * 11 * 11) and fc6/fc7-sized rows.
+  for (const std::int64_t n : {363, 4096, 9216}) lengths.push_back(n);
+  constexpr std::int16_t kSpecials[] = {0, -1, 0x7FFF, INT16_MIN};
+  constexpr std::uint8_t kCanary = 0xA5;
+  constexpr std::size_t kSlack = 64;
+
+  std::vector<common::SimdLevel> tiers;
+  for (const auto tier : {common::SimdLevel::kScalar, common::SimdLevel::kAvx2,
+                          common::SimdLevel::kAvx512}) {
+    if (tier <= common::hardware_simd_level()) tiers.push_back(tier);
+  }
+
+  for (const std::int64_t n : lengths) {
+    // Exactly-sized weights, so a sanitizer catches any tier reading past n.
+    std::vector<std::int16_t> w(static_cast<std::size_t>(n));
+    const CounterRng rng(0x9AC4u, static_cast<std::uint64_t>(n));
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      const std::uint64_t u = rng.bits(i);
+      w[i] = (u & 7u) < 3 ? kSpecials[(u >> 3) & 3u]
+                          : static_cast<std::int16_t>(u >> 16);
+    }
+    for (int pw = 1; pw <= 16; ++pw) {
+      const auto w_mask = static_cast<std::uint32_t>((1u << pw) - 1);
+      const std::vector<std::uint8_t> want = reference_pack(w, w_mask, pw);
+      ASSERT_EQ(want.size(), static_cast<std::size_t>((n + 7) / 8 * pw));
+      for (const common::SimdLevel tier : tiers) {
+        SCOPED_TRACE(std::string("tier=") + common::simd_level_name(tier) +
+                     " n=" + std::to_string(n) + " pw=" + std::to_string(pw));
+        std::vector<std::uint8_t> out(want.size() + kSlack, kCanary);
+        lut_kernels::pack_row(tier, w.data(), n, w_mask, out.data(), pw);
+        EXPECT_TRUE(std::equal(want.begin(), want.end(), out.begin()))
+            << "packed bytes differ from the per-group reference";
+        EXPECT_TRUE(std::all_of(out.begin() + static_cast<std::ptrdiff_t>(
+                                                  want.size()),
+                                out.end(),
+                                [](std::uint8_t b) { return b == kCanary; }))
+            << "wrote past ceil(n/8)*pw bytes";
+      }
+    }
   }
 }
 
