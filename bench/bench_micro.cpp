@@ -307,6 +307,39 @@ void BM_WorkloadCalibration(benchmark::State& state) {
 }
 BENCHMARK(BM_WorkloadCalibration);
 
+void BM_CalibrateSpecCold(benchmark::State& state) {
+  // One uncached spec calibration on AlexNet's input key (Pa 9 minus the
+  // 2.1-bit trim over 256-value groups, ReLU sparsity): the process-wide
+  // memo's miss cost, paid by every cold set-up.
+  const nn::SyntheticSpec spec{.precision = 9, .zero_fraction = 0.45};
+  quant::CalibrationOptions opts;
+  opts.group_size = 256;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        quant::calibrate_to_group_precision(spec, 9 - 2.1, opts).alpha);
+  }
+}
+BENCHMARK(BM_CalibrateSpecCold)->Unit(benchmark::kMillisecond);
+
+void BM_LayerWeightStats(benchmark::State& state) {
+  // All weight statistics of a fresh AlexNet fc6 workload (~37.7M weights,
+  // sampled down to ~2M): the per-layer weight pass of a cold compare().
+  nn::Network net = nn::zoo::make("alexnet");
+  const quant::PrecisionProfile& profile =
+      quant::profile_for("alexnet", quant::AccuracyTarget::k100);
+  quant::apply_profile(net, profile);
+  const std::size_t fc6 = net.fc_indices()[0];
+  const auto stats = [&] {
+    sim::NetworkWorkload wl(net, profile);
+    sim::LayerWorkload& lw = wl.layer(fc6);
+    return lw.effective_weight_precision() + lw.essential_weight_planes() +
+           lw.naf_weight_terms().mean_per_weight;
+  };
+  benchmark::DoNotOptimize(stats());  // fill the weight-spec calibration memo
+  for (auto _ : state) benchmark::DoNotOptimize(stats());
+}
+BENCHMARK(BM_LayerWeightStats)->Unit(benchmark::kMillisecond)->UseRealTime();
+
 // ---- Functional fast path -------------------------------------------------
 
 /// The VGG-scale conv layer both functional benches run: 64ch 28x28 -> 128

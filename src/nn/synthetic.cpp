@@ -1,8 +1,11 @@
 #include "nn/synthetic.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 
 namespace loom::nn {
 
@@ -17,25 +20,17 @@ SyntheticSource::SyntheticSource(std::uint64_t seed, std::uint64_t stream,
   max_magnitude_ = spec.is_signed ? (1 << (spec.precision - 1)) - 1
                                   : (1 << spec.precision) - 1;
   if (spec_.is_signed && max_magnitude_ == 0) max_magnitude_ = 1;  // p==1 -> {-1,0,1}? keep {0,1}
+  // gate / 1024 < zero_fraction  <=>  gate < ceil(1024 * zero_fraction) for
+  // an integer gate; the power-of-two scaling is exact.
+  gate_threshold_ =
+      static_cast<std::uint64_t>(std::ceil(spec_.zero_fraction * 1024.0));
+  sign_bit_ = spec_.is_signed ? 1 : 0;
 }
 
 Value SyntheticSource::at(std::uint64_t index) const noexcept {
-  const std::uint64_t raw = rng_.bits(index);
-  // Derive uniform, sign and zero-gate from independent bit fields.
-  const double u = static_cast<double>(raw >> 11) * 0x1.0p-53;
-  const bool negative = spec_.is_signed && ((raw & 1u) != 0);
-  const double zgate = static_cast<double>((raw >> 1) & 0x3FF) * 0x1.0p-10;
-  if (zgate < spec_.zero_fraction) return 0;
-
-  const std::int32_t mag = magnitude_for_draw(u);
-  return static_cast<Value>(negative ? -mag : mag);
-}
-
-double SyntheticSource::uniform_draw(std::uint64_t index) const noexcept {
-  const std::uint64_t raw = rng_.bits(index);
-  const double zgate = static_cast<double>((raw >> 1) & 0x3FF) * 0x1.0p-10;
-  if (zgate < spec_.zero_fraction) return -1.0;
-  return static_cast<double>(raw >> 11) * 0x1.0p-53;
+  const Draw d = draw(index);
+  const std::int32_t mag = magnitude_for_draw(d.u);
+  return static_cast<Value>(d.negative ? -mag : mag);
 }
 
 Value SyntheticSource::magnitude_for_draw(double u) const noexcept {
@@ -63,8 +58,20 @@ Tensor make_weight_tensor(std::int64_t count, const SyntheticSpec& spec,
   LOOM_EXPECTS(count > 0);
   const SyntheticSource src(seed, stream, spec);
   Tensor t(Shape{count});
-  for (std::int64_t i = 0; i < count; ++i) {
-    t.set_flat(i, src.at(static_cast<std::uint64_t>(i)));
+  constexpr std::int64_t kStripe = std::int64_t{1} << 16;
+  const std::span<Value> out = t.data();
+  const auto fill = [&](std::size_t s) {
+    const std::int64_t begin = static_cast<std::int64_t>(s) * kStripe;
+    const std::int64_t end = std::min(count, begin + kStripe);
+    for (std::int64_t i = begin; i < end; ++i) {
+      out[static_cast<std::size_t>(i)] = src.at(static_cast<std::uint64_t>(i));
+    }
+  };
+  const auto stripes = static_cast<std::size_t>(ceil_div(count, kStripe));
+  if (stripes == 1) {
+    fill(0);
+  } else {
+    shared_pool().parallel_for(stripes, fill);
   }
   return t;
 }

@@ -41,16 +41,36 @@ class SyntheticSource {
   [[nodiscard]] Value at(std::uint64_t index) const noexcept;
   [[nodiscard]] const SyntheticSpec& spec() const noexcept { return spec_; }
 
-  /// Uniform draw behind element `index`, or -1.0 when the zero-gate fires
-  /// (the element is exactly zero). The draw depends only on (seed, stream,
-  /// index, zero_fraction) — not on alpha — and `at(index)` equals
-  /// `sign * magnitude_for_draw(uniform_draw(index))`.
-  [[nodiscard]] double uniform_draw(std::uint64_t index) const noexcept;
+  /// The uniform draw behind one element and the element's sign.
+  struct Draw {
+    double u;       ///< uniform in [0, 1), or -1.0 when the zero-gate fires
+    bool negative;  ///< always false for unsigned sources and gated draws
+  };
+
+  /// Draw behind element `index`. It depends only on (seed, stream, index,
+  /// zero_fraction, is_signed) — not on alpha — and `at(index)` equals
+  /// `(negative ? -1 : 1) * magnitude_for_draw(u)`. This is the one place
+  /// that splits the raw RNG word into uniform, sign and zero-gate fields.
+  [[nodiscard]] Draw draw(std::uint64_t index) const noexcept {
+    // Raw word: bit 0 sign, bits 1-10 zero gate, bits 11-63 uniform. The
+    // element is zero when gate / 1024 < zero_fraction. Masks instead of
+    // branches: the gate fires at random, so a branch would mispredict on
+    // a large share of a sparse source's draws.
+    const std::uint64_t raw = rng_.bits(index);
+    const std::uint64_t live =
+        0 - static_cast<std::uint64_t>(((raw >> 1) & 0x3FF) >= gate_threshold_);
+    // A gated draw takes the mantissa -2^53, which scales to exactly -1.0.
+    constexpr auto kGated = static_cast<std::uint64_t>(-(std::int64_t{1} << 53));
+    const auto mantissa =
+        static_cast<std::int64_t>(((raw >> 11) & live) | (kGated & ~live));
+    return {static_cast<double>(mantissa) * 0x1.0p-53,
+            (raw & live & sign_bit_) != 0};
+  }
 
   /// Magnitude the source emits for uniform draw `u` under the current
-  /// spec (monotone non-decreasing in `u`; -1.0 maps to 0). The OR-plane
-  /// calibration fast path exploits this monotonicity: a detection group's
-  /// precision for *any* alpha is the magnitude of its maximum draw.
+  /// spec (monotone non-decreasing in `u`; -1.0 maps to 0). The calibration
+  /// fast paths exploit this monotonicity: a group's precision for *any*
+  /// alpha follows from the magnitude of its maximum draw (per sign).
   [[nodiscard]] Value magnitude_for_draw(double u) const noexcept;
 
   /// Largest magnitude the source can emit.
@@ -60,14 +80,21 @@ class SyntheticSource {
   CounterRng rng_;
   SyntheticSpec spec_;
   int max_magnitude_;
+  std::uint64_t gate_threshold_;  ///< live iff gate field >= this
+  std::uint64_t sign_bit_;        ///< 1 for signed sources, else 0
 };
 
-/// Materialize an activation volume (CHW) from a synthetic source.
+/// Materialize an activation volume (CHW) from a synthetic source. Serial
+/// on purpose: serve clients build inputs while a worker's kernels hold the
+/// shared pool, so striping here would queue behind (and stall) them.
 [[nodiscard]] Tensor make_activation_tensor(const Shape3& shape, const SyntheticSpec& spec,
                                             std::uint64_t seed, std::uint64_t stream);
 
 /// Materialize a weight tensor with `count` elements (flat layout; the
-/// caller interprets [Co][Ci/g][Kh][Kw] or [Co][Ci] ordering).
+/// caller interprets [Co][Ci/g][Kh][Kw] or [Co][Ci] ordering). Large
+/// tensors fill in fixed 64K-element stripes over shared_pool(), so this
+/// must not be called from a shared-pool task; every element is a pure
+/// function of its index, so the bytes do not depend on the schedule.
 [[nodiscard]] Tensor make_weight_tensor(std::int64_t count, const SyntheticSpec& spec,
                                         std::uint64_t seed, std::uint64_t stream);
 

@@ -7,6 +7,23 @@
 // Mean group precision is monotonically non-increasing in alpha (larger
 // alpha concentrates magnitudes toward zero), so a bisection on log(alpha)
 // against a deterministic Monte-Carlo estimate converges quickly.
+//
+// The bisection never rescans its sample. Each element is a uniform draw u
+// (plus a sign and a zero gate) that does not depend on alpha, and its
+// magnitude floor((max+1) * u^alpha) is monotone in u. So one raw-RNG pass
+// reduces every sampled group to its maximum draws, and each bisection step
+// costs one magnitude per group. The reduced measurement is exactly
+// measure_mean_group_precision's:
+//  * Unsigned groups: the OR of a group shares its most significant bit
+//    with the group maximum, which is the magnitude of the maximum draw.
+//  * Signed groups: two's-complement width is monotone in magnitude within
+//    each sign, so the group keeps one maximum draw per sign and its
+//    precision is max(1, width(+mag(max+)), width(-mag(max-))).
+//  * Zero-gated draws (-1) map to magnitude 0 and contribute nothing.
+// The group precisions are integers, so their sum, and hence the mean, is
+// bit-identical to the scan's; the bisection takes the same path and
+// returns the same alpha. measure_mean_group_precision stays the scan
+// oracle that the tests compare against.
 #pragma once
 
 #include <cstdint>

@@ -31,6 +31,7 @@
 #include "nn/layer.hpp"
 #include "nn/synthetic.hpp"
 #include "nn/tensor.hpp"
+#include "quant/group_precision.hpp"
 
 namespace loom::sim {
 
@@ -113,7 +114,7 @@ class CalibrationPlanes {
                                       int act_precision) const;
 
  private:
-  std::vector<double> group_max_draw_;  ///< -1 when a group has no live value
+  quant::GroupMaxDraws draws_;  ///< unsigned: one max draw per sampled group
 };
 
 }  // namespace loom::sim

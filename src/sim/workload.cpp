@@ -7,9 +7,9 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "common/thread_pool.hpp"
 #include "nn/zoo/zoo.hpp"
 #include "quant/calibration.hpp"
-#include "quant/group_precision.hpp"
 
 namespace loom::sim {
 
@@ -61,23 +61,19 @@ LayerWorkload::LayerWorkload(const nn::Layer& layer, std::size_t layer_index,
   }
 }
 
-void LayerWorkload::ensure_input_tensor() {
-  if (input_.has_value()) return;
+void LayerWorkload::ensure_planes() {
+  if (planes_.has_value()) return;
   LOOM_EXPECTS(layer_.kind == nn::LayerKind::kConv);
   ensure_group_calibrated();
-  input_ = nn::make_activation_tensor(layer_.in, act_spec_, opts_.seed,
-                                      nn::activation_stream(layer_index_));
-}
-
-void LayerWorkload::ensure_planes() {
-  ensure_input_tensor();
-  if (!planes_.has_value()) {
-    // Build fully before engaging the optional: a throwing build must not
-    // leave a half-built plane for a later query to index out of bounds.
-    ActOrPlanes planes(layer_, opts_.lanes);
-    planes.build(*input_);
-    planes_ = std::move(planes);
-  }
+  // The input tensor only feeds the plane build, so it is not kept: the
+  // planes answer every later query.
+  const nn::Tensor input = nn::make_activation_tensor(
+      layer_.in, act_spec_, opts_.seed, nn::activation_stream(layer_index_));
+  // Build fully before engaging the optional: a throwing build must not
+  // leave a half-built plane for a later query to index out of bounds.
+  ActOrPlanes planes(layer_, opts_.lanes);
+  planes.build(input);
+  planes_ = std::move(planes);
 }
 
 void LayerWorkload::ensure_group_calibrated() {
@@ -283,24 +279,106 @@ ActTermTable LayerWorkload::act_group_term_table(int cols) {
   return {cache.term_slots.get(), cache.wb_count, ic_count_};
 }
 
-double LayerWorkload::effective_weight_precision() {
-  const std::lock_guard<std::mutex> lock(weight_mutex_);
-  if (measured_weight_precision_.has_value()) return *measured_weight_precision_;
-  LOOM_EXPECTS(layer_.has_weights());
-
+nn::SyntheticSource LayerWorkload::weight_source() const {
   const nn::SyntheticSpec spec = quant::calibrated_spec_cached(
       layer_.weight_precision, /*is_signed=*/true, /*zero_fraction=*/0.0,
       /*group_size=*/16, table3_target_);
-  const nn::SyntheticSource source(opts_.seed, nn::weight_stream(layer_index_),
-                                   spec);
+  return nn::SyntheticSource(opts_.seed, nn::weight_stream(layer_index_), spec);
+}
+
+const LayerWorkload::WeightStats& LayerWorkload::ensure_weight_stats() {
+  if (weight_stats_.has_value()) return *weight_stats_;
+  LOOM_EXPECTS(layer_.has_weights());
+  const nn::SyntheticSource source = weight_source();
   const std::int64_t count = layer_.weight_count();
   const std::int64_t groups = ceil_div(count, 16);
-  const int stride = static_cast<int>(std::max<std::int64_t>(
-      1, groups / std::max<std::int64_t>(1, opts_.weight_sample_cap / 16)));
-  const quant::GroupPrecisionStats stats =
-      quant::weight_group_stats(source, count, /*group_size=*/16, stride);
-  measured_weight_precision_ = stats.mean;
-  return *measured_weight_precision_;
+  const std::int64_t stride = std::max<std::int64_t>(
+      1, groups / std::max<std::int64_t>(1, opts_.weight_sample_cap / 16));
+  const std::int64_t sampled = ceil_div(groups, stride);
+
+  // Integer sums per stripe: exact, so the means below are bit-identical
+  // to serial double accumulation whatever the stripe schedule.
+  struct Sums {
+    std::int64_t precision = 0;  // signed group precision (>= 1)
+    std::int64_t essential = 0;  // essential magnitude planes + sign pass
+    std::int64_t terms = 0;      // NAF digits over all weights
+    std::int64_t synced = 0;     // popcount of each group's NAF positions
+    std::int64_t weights = 0;
+  };
+  constexpr std::int64_t kGroupsPerStripe = 4096;
+  std::vector<Sums> partial(
+      static_cast<std::size_t>(ceil_div(sampled, kGroupsPerStripe)));
+  const auto run_stripe = [&](std::size_t s) {
+    Sums sums;
+    const std::int64_t first = static_cast<std::int64_t>(s) * kGroupsPerStripe;
+    const std::int64_t last = std::min(sampled, first + kGroupsPerStripe);
+    for (std::int64_t k = first; k < last; ++k) {
+      const std::int64_t g = k * stride;
+      const std::int64_t end = std::min<std::int64_t>((g + 1) * 16, count);
+      int precision = 1;
+      std::uint32_t ored = 0;
+      std::uint32_t union_positions = 0;
+      for (std::int64_t i = g * 16; i < end; ++i) {
+        const Value v = source.at(static_cast<std::uint64_t>(i));
+        precision = std::max(precision, needed_bits_signed(v));
+        const auto mag = static_cast<std::uint32_t>(
+            v < 0 ? -static_cast<std::int32_t>(v) : static_cast<std::int32_t>(v));
+        ored |= mag;
+        const NafDigits d = naf_digits(mag);
+        sums.terms += std::popcount(d.plus) + std::popcount(d.minus);
+        union_positions |= d.positions();
+      }
+      sums.precision += precision;
+      // Essential magnitude planes plus one sign pass; an all-zero group
+      // still spends one cycle (the detector/sequencer granularity).
+      sums.essential += std::max(1, std::popcount(ored) + (ored != 0 ? 1 : 0));
+      sums.synced += std::max(1, std::popcount(union_positions));
+      sums.weights += end - g * 16;
+    }
+    partial[s] = sums;
+  };
+  if (partial.size() == 1) {
+    run_stripe(0);
+  } else {
+    shared_pool().parallel_for(partial.size(), run_stripe);
+  }
+
+  Sums total;
+  for (const Sums& p : partial) {
+    total.precision += p.precision;
+    total.essential += p.essential;
+    total.terms += p.terms;
+    total.synced += p.synced;
+    total.weights += p.weights;
+  }
+  const auto n = static_cast<double>(sampled);
+  WeightStats stats;
+  stats.effective_precision = static_cast<double>(total.precision) / n;
+  stats.essential_planes = static_cast<double>(total.essential) / n;
+  // Floor at one sixteenth: even an all-zero group costs the sequencer one
+  // cycle, so the per-weight average cannot be meaningfully below 1/16.
+  stats.naf_terms.mean_per_weight =
+      std::max(static_cast<double>(total.terms) /
+                   static_cast<double>(total.weights),
+               1.0 / 16.0);
+  stats.naf_terms.synced_per_group = static_cast<double>(total.synced) / n;
+  weight_stats_ = stats;
+  return *weight_stats_;
+}
+
+double LayerWorkload::effective_weight_precision() {
+  const std::lock_guard<std::mutex> lock(weight_mutex_);
+  return ensure_weight_stats().effective_precision;
+}
+
+double LayerWorkload::essential_weight_planes() {
+  const std::lock_guard<std::mutex> lock(weight_mutex_);
+  return ensure_weight_stats().essential_planes;
+}
+
+LayerWorkload::WeightTermStats LayerWorkload::naf_weight_terms() {
+  const std::lock_guard<std::mutex> lock(weight_mutex_);
+  return ensure_weight_stats().naf_terms;
 }
 
 double LayerWorkload::honest_weight_precision(int rows_groups) {
@@ -309,11 +387,7 @@ double LayerWorkload::honest_weight_precision(int rows_groups) {
   const auto it = honest_cache_.find(rows_groups);
   if (it != honest_cache_.end()) return it->second;
 
-  const nn::SyntheticSpec spec = quant::calibrated_spec_cached(
-      layer_.weight_precision, /*is_signed=*/true, /*zero_fraction=*/0.0,
-      /*group_size=*/16, table3_target_);
-  const nn::SyntheticSource source(opts_.seed, nn::weight_stream(layer_index_),
-                                   spec);
+  const nn::SyntheticSource source = weight_source();
   const std::int64_t count = layer_.weight_count();
   const std::int64_t groups = std::max<std::int64_t>(1, count / 16);
 
@@ -341,90 +415,6 @@ double LayerWorkload::honest_weight_precision(int rows_groups) {
       std::min(acc / kTrials, static_cast<double>(layer_.weight_precision));
   honest_cache_.emplace(rows_groups, result);
   return result;
-}
-
-double LayerWorkload::essential_weight_planes() {
-  const std::lock_guard<std::mutex> lock(weight_mutex_);
-  if (essential_planes_.has_value()) return *essential_planes_;
-  LOOM_EXPECTS(layer_.has_weights());
-
-  const nn::SyntheticSpec spec = quant::calibrated_spec_cached(
-      layer_.weight_precision, /*is_signed=*/true, /*zero_fraction=*/0.0,
-      /*group_size=*/16, table3_target_);
-  const nn::SyntheticSource source(opts_.seed, nn::weight_stream(layer_index_),
-                                   spec);
-  const std::int64_t count = layer_.weight_count();
-  const std::int64_t groups = ceil_div(count, 16);
-  const std::int64_t stride = std::max<std::int64_t>(
-      1, groups / std::max<std::int64_t>(1, opts_.weight_sample_cap / 16));
-
-  double sum = 0.0;
-  std::int64_t n = 0;
-  for (std::int64_t g = 0; g < groups; g += stride) {
-    const std::int64_t end = std::min<std::int64_t>((g + 1) * 16, count);
-    std::uint32_t ored = 0;
-    for (std::int64_t i = g * 16; i < end; ++i) {
-      const Value v = source.at(static_cast<std::uint64_t>(i));
-      const auto mag = static_cast<std::uint32_t>(v < 0 ? -static_cast<std::int32_t>(v)
-                                                        : static_cast<std::int32_t>(v));
-      ored |= mag;
-    }
-    // Essential magnitude planes plus one sign pass; an all-zero group
-    // still spends one cycle (the detector/sequencer granularity).
-    sum += std::max(1, std::popcount(ored) + (ored != 0 ? 1 : 0));
-    ++n;
-  }
-  essential_planes_ = n ? sum / static_cast<double>(n) : 1.0;
-  return *essential_planes_;
-}
-
-LayerWorkload::WeightTermStats LayerWorkload::naf_weight_terms() {
-  const std::lock_guard<std::mutex> lock(weight_mutex_);
-  if (naf_terms_.has_value()) return *naf_terms_;
-  LOOM_EXPECTS(layer_.has_weights());
-
-  const nn::SyntheticSpec spec = quant::calibrated_spec_cached(
-      layer_.weight_precision, /*is_signed=*/true, /*zero_fraction=*/0.0,
-      /*group_size=*/16, table3_target_);
-  const nn::SyntheticSource source(opts_.seed, nn::weight_stream(layer_index_),
-                                   spec);
-  const std::int64_t count = layer_.weight_count();
-  const std::int64_t groups = ceil_div(count, 16);
-  const std::int64_t stride = std::max<std::int64_t>(
-      1, groups / std::max<std::int64_t>(1, opts_.weight_sample_cap / 16));
-
-  // One pass over the sampled groups measures both statistics: the mean
-  // per-weight NAF digit count (what a linear estimate multiplies by) and
-  // the mean synchronized group length (what a 16-lane sequencer that walks
-  // every digit position present in *any* lane actually spends).
-  double term_sum = 0.0;
-  double sync_sum = 0.0;
-  std::int64_t weights = 0;
-  std::int64_t n = 0;
-  for (std::int64_t g = 0; g < groups; g += stride) {
-    const std::int64_t end = std::min<std::int64_t>((g + 1) * 16, count);
-    std::uint32_t union_positions = 0;
-    for (std::int64_t i = g * 16; i < end; ++i) {
-      const Value v = source.at(static_cast<std::uint64_t>(i));
-      const auto mag = static_cast<std::uint32_t>(
-          v < 0 ? -static_cast<std::int32_t>(v) : static_cast<std::int32_t>(v));
-      const NafDigits d = naf_digits(mag);
-      term_sum += std::popcount(d.plus) + std::popcount(d.minus);
-      union_positions |= d.positions();
-      ++weights;
-    }
-    sync_sum += std::max(1, std::popcount(union_positions));
-    ++n;
-  }
-  WeightTermStats stats;
-  // Floor at one sixteenth: even an all-zero group costs the sequencer one
-  // cycle, so the per-weight average cannot be meaningfully below 1/16.
-  stats.mean_per_weight =
-      weights ? std::max(term_sum / static_cast<double>(weights), 1.0 / 16.0)
-              : 1.0;
-  stats.synced_per_group = n ? sync_sum / static_cast<double>(n) : 1.0;
-  naf_terms_ = stats;
-  return stats;
 }
 
 NetworkWorkload::NetworkWorkload(nn::Network net,

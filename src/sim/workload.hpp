@@ -13,7 +13,9 @@
 //    table so the simulators' steady state is a plain array read.
 //  * Weight tensors are streamed (never materialized) from sources
 //    calibrated to Table 3's effective per-group precisions; the measured
-//    mean effective precision feeds the §4.6 performance estimate.
+//    mean effective precision feeds the §4.6 performance estimate. One
+//    pass over the sampled weight groups, striped over shared_pool(),
+//    measures every weight statistic the simulators read.
 #pragma once
 
 #include <atomic>
@@ -116,6 +118,10 @@ class LayerWorkload {
   /// act_group_precision_table; both tables of one `cols` share geometry).
   [[nodiscard]] ActTermTable act_group_term_table(int cols);
 
+  // The three weight statistics below come from one memoized pass that may
+  // block on shared_pool(): like every shared-pool client, they must not be
+  // called from a shared-pool task. Thread-safe otherwise.
+
   /// Weight-side NAF term statistics for the term-serial (Laconic-style)
   /// cycle model, measured by streaming the calibrated weight source once.
   /// NAF is what the hardware (and the bit-sliced functional engine)
@@ -157,6 +163,10 @@ class LayerWorkload {
   /// both counts on a known tensor.
   [[nodiscard]] double essential_weight_planes();
 
+  /// The calibrated source of the layer's (virtual) weight tensor that the
+  /// weight statistics stream.
+  [[nodiscard]] nn::SyntheticSource weight_source() const;
+
   /// Static profile precisions.
   [[nodiscard]] int profile_act_precision() const noexcept {
     return layer_.act_precision;
@@ -187,9 +197,8 @@ class LayerWorkload {
     std::atomic<bool> term_table_filled{false};
   };
 
-  void ensure_input_tensor();
-  /// Materializes the input tensor and builds the activation OR planes
-  /// (requires the exclusive memo lock).
+  /// Materializes the input tensor, builds the activation OR planes from
+  /// it and drops it (requires the exclusive memo lock).
   void ensure_planes();
   /// Creates (or returns) the memo for `cols` under the exclusive lock.
   [[nodiscard]] ColsCache& ensure_cols_cache(int cols);
@@ -199,6 +208,16 @@ class LayerWorkload {
   /// Term-count twin of cached_precision over the same cache geometry.
   [[nodiscard]] int cached_term_count(const ColsCache& cache, std::int64_t g,
                                       std::int64_t wb, std::int64_t ic) const;
+  /// All weight statistics of one sampled-weight pass (see
+  /// ensure_weight_stats).
+  struct WeightStats {
+    double effective_precision = 0.0;
+    double essential_planes = 0.0;
+    WeightTermStats naf_terms;
+  };
+  /// Streams every sampled weight group once, striped over shared_pool(),
+  /// and memoizes all weight statistics. Requires weight_mutex_.
+  const WeightStats& ensure_weight_stats();
   /// Refine the activation distribution so the mean detected precision over
   /// the layer's *actual* (window-block, input-chunk) groups — which share
   /// values between overlapping windows — hits the calibration target.
@@ -207,11 +226,11 @@ class LayerWorkload {
   const nn::Layer& layer_;
   std::size_t layer_index_;
   WorkloadOptions opts_;
-  /// Guards the activation-side memo state (input tensor + OR planes +
-  /// group caches) so one workload can serve several simulator threads
-  /// (core runner `jobs` fan-out). Steady-state act_group_precision calls
-  /// take it shared — concurrent simulators of one network don't
-  /// serialize — and only first-call-per-cols setup takes it exclusive.
+  /// Guards the activation-side memo state (OR planes + group caches) so
+  /// one workload can serve several simulator threads (core runner `jobs`
+  /// fan-out). Steady-state act_group_precision calls take it shared —
+  /// concurrent simulators of one network don't serialize — and only
+  /// first-call-per-cols setup takes it exclusive.
   std::shared_mutex memo_mutex_;
   /// Guards the weight-side memos. Separate from memo_mutex_ so the long
   /// weight streams never block activation lookups; computing *under* the
@@ -223,13 +242,10 @@ class LayerWorkload {
   // Conv activation-group geometry, derived once at construction.
   std::int64_t windows_ = 0;
   std::int64_t ic_count_ = 0;
-  std::optional<nn::Tensor> input_;
   std::optional<ActOrPlanes> planes_;
   nn::SyntheticSpec act_spec_;
   bool group_calibrated_ = false;
-  std::optional<double> measured_weight_precision_;
-  std::optional<double> essential_planes_;
-  std::optional<WeightTermStats> naf_terms_;
+  std::optional<WeightStats> weight_stats_;
   std::unordered_map<int, ColsCache> group_precision_cache_;
   std::unordered_map<int, double> honest_cache_;
 };

@@ -3,7 +3,15 @@
 // output-precision chain.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <functional>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "nn/zoo/zoo.hpp"
+#include "quant/group_precision.hpp"
 #include "quant/profiles.hpp"
 #include "sim/workload.hpp"
 
@@ -142,6 +150,159 @@ TEST(Workload, PrepareNetworkAppliesProfile) {
   const auto convs = wl->network().conv_indices();
   EXPECT_EQ(wl->network().layer(convs[0]).act_precision, 7);
   EXPECT_EQ(wl->network().layer(convs[0]).weight_precision, 11);
+}
+
+// ---- Weight statistics: one fused pass vs. the three serial scans ---------
+// LayerWorkload measures every weight statistic in one striped pass. These
+// test-local copies of the three serial scans it replaced are the oracle;
+// the fused results must match them bit for bit.
+
+struct ScannedWeightStats {
+  double effective = 0.0;
+  double essential = 0.0;
+  LayerWorkload::WeightTermStats naf;
+};
+
+ScannedWeightStats scan_weight_stats(const LayerWorkload& lw,
+                                     const WorkloadOptions& opts) {
+  const nn::SyntheticSource source = lw.weight_source();
+  const std::int64_t count = lw.layer().weight_count();
+  const std::int64_t groups = ceil_div(count, 16);
+  const std::int64_t stride = std::max<std::int64_t>(
+      1, groups / std::max<std::int64_t>(1, opts.weight_sample_cap / 16));
+  ScannedWeightStats out;
+  out.effective = quant::weight_group_stats(source, count, 16,
+                                            static_cast<int>(stride))
+                      .mean;
+
+  double essential_sum = 0.0;
+  double term_sum = 0.0;
+  double sync_sum = 0.0;
+  std::int64_t weights = 0;
+  std::int64_t n = 0;
+  for (std::int64_t g = 0; g < groups; g += stride) {
+    const std::int64_t end = std::min<std::int64_t>((g + 1) * 16, count);
+    std::uint32_t ored = 0;
+    std::uint32_t union_positions = 0;
+    for (std::int64_t i = g * 16; i < end; ++i) {
+      const Value v = source.at(static_cast<std::uint64_t>(i));
+      const auto mag = static_cast<std::uint32_t>(
+          v < 0 ? -static_cast<std::int32_t>(v) : static_cast<std::int32_t>(v));
+      ored |= mag;
+      const NafDigits d = naf_digits(mag);
+      term_sum += std::popcount(d.plus) + std::popcount(d.minus);
+      union_positions |= d.positions();
+      ++weights;
+    }
+    essential_sum += std::max(1, std::popcount(ored) + (ored != 0 ? 1 : 0));
+    sync_sum += std::max(1, std::popcount(union_positions));
+    ++n;
+  }
+  out.essential = essential_sum / static_cast<double>(n);
+  out.naf.mean_per_weight =
+      std::max(term_sum / static_cast<double>(weights), 1.0 / 16.0);
+  out.naf.synced_per_group = sync_sum / static_cast<double>(n);
+  return out;
+}
+
+void expect_stats_equal(const ScannedWeightStats& scan,
+                        LayerWorkload::WeightTermStats naf, double effective,
+                        double essential, const std::string& what) {
+  EXPECT_EQ(effective, scan.effective) << what;
+  EXPECT_EQ(essential, scan.essential) << what;
+  EXPECT_EQ(naf.mean_per_weight, scan.naf.mean_per_weight) << what;
+  EXPECT_EQ(naf.synced_per_group, scan.naf.synced_per_group) << what;
+}
+
+/// Both call orders on fresh workloads of layer `index`: NAF terms first,
+/// and effective precision first.
+void check_layer_against_scan(const std::function<NetworkWorkload()>& make,
+                              std::size_t index, const std::string& what) {
+  {
+    NetworkWorkload wl = make();
+    LayerWorkload& lw = wl.layer(index);
+    const auto naf = lw.naf_weight_terms();
+    const double effective = lw.effective_weight_precision();
+    const double essential = lw.essential_weight_planes();
+    expect_stats_equal(scan_weight_stats(lw, {}), naf, effective, essential,
+                       what + " (NAF first)");
+  }
+  {
+    NetworkWorkload wl = make();
+    LayerWorkload& lw = wl.layer(index);
+    const double effective = lw.effective_weight_precision();
+    const double essential = lw.essential_weight_planes();
+    const auto naf = lw.naf_weight_terms();
+    expect_stats_equal(scan_weight_stats(lw, {}), naf, effective, essential,
+                       what + " (effective first)");
+  }
+}
+
+NetworkWorkload alexnet_workload() {
+  nn::Network net = nn::zoo::make("alexnet");
+  const quant::PrecisionProfile& profile =
+      quant::profile_for("alexnet", quant::AccuracyTarget::k100);
+  quant::apply_profile(net, profile);
+  return NetworkWorkload(std::move(net), profile);
+}
+
+TEST(WorkloadWeightStats, StridedFcLayerMatchesScans) {
+  // fc6 holds ~37.7M weights: sampled with a stride, over many stripes.
+  const std::size_t fc6 = alexnet_workload().network().fc_indices()[0];
+  check_layer_against_scan(alexnet_workload, fc6, "alexnet fc6");
+}
+
+TEST(WorkloadWeightStats, RaggedWeightCountMatchesScans) {
+  // 3 x 5x5 x 1001 = 75075 weights: not a multiple of 16, so the last of
+  // two stripes ends in a partial group.
+  const auto make = [] {
+    nn::Network net("custom", nn::Shape3{3, 8, 8});
+    net.add_conv("c1", 1001, 5, 1, 2).precision_group = 0;
+    quant::PrecisionProfile p = custom_profile();
+    p.conv_act = {8};
+    p.fc_weight = {};
+    quant::apply_profile(net, p);
+    return NetworkWorkload(std::move(net), p);
+  };
+  ASSERT_NE(make().network().layer(0).weight_count() % 16, 0);
+  check_layer_against_scan(make, 0, "ragged conv");
+  check_layer_against_scan(make_workload, 2, "custom fc");
+}
+
+TEST(WorkloadWeightStats, ConcurrentCallersSeeOneResult) {
+  // Four threads race the three accessors on one fresh workload; the pass
+  // runs once and every caller reads the same memo.
+  NetworkWorkload wl = alexnet_workload();
+  LayerWorkload& lw = wl.layer(wl.network().conv_indices()[1]);
+  constexpr int kThreads = 4;
+  struct Seen {
+    double effective = 0.0;
+    double essential = 0.0;
+    LayerWorkload::WeightTermStats naf;
+  };
+  std::vector<Seen> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&lw, &seen, t] {
+      Seen& s = seen[static_cast<std::size_t>(t)];
+      if (t % 2 == 0) {
+        s.naf = lw.naf_weight_terms();
+        s.effective = lw.effective_weight_precision();
+        s.essential = lw.essential_weight_planes();
+      } else {
+        s.essential = lw.essential_weight_planes();
+        s.effective = lw.effective_weight_precision();
+        s.naf = lw.naf_weight_terms();
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const ScannedWeightStats scan = scan_weight_stats(lw, {});
+  for (int t = 0; t < kThreads; ++t) {
+    const Seen& s = seen[static_cast<std::size_t>(t)];
+    expect_stats_equal(scan, s.naf, s.effective, s.essential,
+                       "thread " + std::to_string(t));
+  }
 }
 
 }  // namespace
