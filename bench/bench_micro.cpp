@@ -26,6 +26,7 @@
 #include "serve/shard_router.hpp"
 #include "sim/backend.hpp"
 #include "sim/bitslice_engine.hpp"
+#include "sim/conv_stats.hpp"
 #include "sim/functional.hpp"
 #include "sim/loom_sim.hpp"
 #include "sim/or_planes.hpp"
@@ -524,6 +525,79 @@ void BM_AutotunerPick(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AutotunerPick);
+
+// ---- Multiply-add backend -------------------------------------------------
+// The bit-parallel int16 GEMM/GEMV kernel on AlexNet shapes at the paper's
+// profile precisions, one thread, plus the shared conv-stats pass it (and
+// the LUT kernel) report the modelled Loom stats from.
+
+/// One AlexNet layer (profile precisions applied) with synthetic operands.
+struct AlexnetLayerCase {
+  nn::Layer layer;
+  nn::Tensor input;
+  nn::Tensor weights;
+};
+
+AlexnetLayerCase alexnet_layer(const std::string& name) {
+  nn::Network net = nn::zoo::make("alexnet");
+  quant::apply_profile(net, quant::profile_for("alexnet", quant::AccuracyTarget::k100));
+  for (std::size_t i = 0; i < net.size(); ++i) {
+    const nn::Layer& l = net.layer(i);
+    if (l.name != name) continue;
+    const bool fc = l.kind == nn::LayerKind::kFullyConnected;
+    nn::SyntheticSpec act{.precision = fc ? 16 : l.act_precision,
+                          .alpha = 1.5,
+                          .is_signed = fc};
+    nn::SyntheticSpec wsp{.precision = l.weight_precision, .alpha = 1.2,
+                          .is_signed = true};
+    return AlexnetLayerCase{l, nn::make_activation_tensor(l.in, act, 1, 0),
+                            nn::make_weight_tensor(l.weight_count(), wsp, 2, 1)};
+  }
+  throw ConfigError("no alexnet layer " + name);
+}
+
+void BM_MaddConvLayer(benchmark::State& state) {
+  // AlexNet conv3: 256ch 13x13 -> 384 filters 3x3 (M 384, N 169, K 2304).
+  const AlexnetLayerCase c = alexnet_layer("conv3");
+  sim::FunctionalLoomEngine engine(
+      sim::FunctionalOptions{.jobs = 1, .backend = "madd"});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.run_conv(c.layer, c.input, c.weights, 16));
+  }
+  state.SetItemsProcessed(state.iterations() * c.layer.macs());
+}
+BENCHMARK(BM_MaddConvLayer)->Unit(benchmark::kMillisecond);
+
+void BM_MaddFcLayer(benchmark::State& state) {
+  // AlexNet fc6: 9216 -> 4096 at Pw 10, weights read in place (75 MB).
+  AlexnetLayerCase c = alexnet_layer("fc6");
+  c.layer.weight_precision = 10;
+  sim::FunctionalLoomEngine engine(
+      sim::FunctionalOptions{.jobs = 1, .backend = "madd"});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.run_fc(c.layer, c.input, c.weights, 16));
+  }
+  state.SetItemsProcessed(state.iterations() * c.layer.macs());
+}
+BENCHMARK(BM_MaddFcLayer)->Unit(benchmark::kMillisecond);
+
+void BM_ConvStreamStats(benchmark::State& state) {
+  // The modelled stats of AlexNet conv3 under dynamic detection: one OR
+  // plane build plus the per-(chunk, column group) precision walk.
+  const AlexnetLayerCase c = alexnet_layer("conv3");
+  const sim::BitsliceEngine::SliceSpec spec{
+      .act_precision = c.layer.act_precision,
+      .weight_precision = c.layer.weight_precision,
+      .act_signed = false,
+      .dynamic = true};
+  const nn::Tensor* inputs[] = {&c.input};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        sim::conv_stream_stats(c.layer, inputs, spec, sim::StatsGrid{}));
+  }
+  state.SetItemsProcessed(state.iterations() * c.layer.macs());
+}
+BENCHMARK(BM_ConvStreamStats)->Unit(benchmark::kMicrosecond);
 
 void BM_LutConvLayerPwSweep(benchmark::State& state) {
   // The LUT kernel across weight precisions: each extra Pw bit adds one

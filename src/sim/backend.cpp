@@ -17,6 +17,7 @@
 #include "sim/autotune_cache.hpp"
 #include "sim/functional.hpp"
 #include "sim/lut_engine.hpp"
+#include "sim/madd_engine.hpp"
 
 namespace loom::sim {
 
@@ -284,6 +285,35 @@ class LutBackend final : public FunctionalBackend {
   LutEngine engine_;
 };
 
+// ---------------------------------------------------------------------------
+// Multiply-add backend: the bit-parallel int16 GEMM/GEMV kernel.
+
+class MaddBackend final : public FunctionalBackend {
+ public:
+  explicit MaddBackend(const BackendContext& ctx)
+      : engine_({.rows = ctx.rows,
+                 .cols = ctx.cols,
+                 .lanes = ctx.lanes,
+                 .jobs = ctx.jobs}) {}
+
+  BitsliceEngine::ConvStats run_conv_batch(
+      const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
+      const nn::Tensor& weights, const BitsliceEngine::SliceSpec& spec,
+      std::span<nn::WideTensor* const> wides) override {
+    return engine_.run_conv_batch(layer, inputs, weights, spec, wides);
+  }
+
+  void run_fc_batch(const nn::Layer& layer,
+                    std::span<const nn::Tensor* const> inputs,
+                    const nn::Tensor& weights, int weight_precision,
+                    std::span<nn::WideTensor* const> wides) override {
+    engine_.run_fc_batch(layer, inputs, weights, weight_precision, wides);
+  }
+
+ private:
+  MaddEngine engine_;
+};
+
 bool scalar_supports(const BackendContext&) { return true; }
 
 std::unique_ptr<FunctionalBackend> make_scalar(const BackendContext& ctx) {
@@ -305,6 +335,10 @@ std::unique_ptr<FunctionalBackend> make_lut(const BackendContext& ctx) {
   return std::make_unique<LutBackend>(ctx);
 }
 
+std::unique_ptr<FunctionalBackend> make_madd(const BackendContext& ctx) {
+  return std::make_unique<MaddBackend>(ctx);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -319,6 +353,11 @@ BackendRegistry::BackendRegistry() : impl_(new Impl) {
   impl_->entries.push_back(
       {.name = "scalar", .tunable = false, .supports = scalar_supports,
        .make = make_scalar});
+  // First among the tunables: the autotuner samples candidates in
+  // registration order, so a cold "auto" cell already runs it.
+  impl_->entries.push_back(
+      {.name = "madd", .tunable = true, .supports = grid_supports,
+       .make = make_madd});
   impl_->entries.push_back(
       {.name = "bitslice", .tunable = true, .supports = grid_supports,
        .make = make_bitslice});

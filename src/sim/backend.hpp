@@ -10,10 +10,14 @@
 // tests/test_backend_differential.cpp). Every entry point is batched; a solo
 // request is a batch of one.
 //
-// Registered built-ins:
+// Registered built-ins, in registration (= autotuner sampling) order:
 //   scalar     — the arch::Sip oracle, bit-by-bit through a dispatcher
 //                (ground truth; never an autotuner candidate); a batch runs
 //                as N solo passes
+//   madd       — bit-parallel int16 multiply-add GEMM/GEMV (vpmaddwd) with
+//                the modelled stats from the shared pass in
+//                sim/conv_stats.hpp (sim/madd_engine.hpp); first among the
+//                tunables, so a cold "auto" cell already runs it
 //   bitslice   — 64 SIP columns per machine word (sim/bitslice_engine.hpp)
 //   lut        — T-MAC-style per-activation-group partial-sum LUTs
 //                (sim/lut_engine.hpp), L1-tiled table working set

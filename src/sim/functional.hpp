@@ -12,8 +12,8 @@
 //
 // Layer math runs on an interchangeable kernel from the backend registry
 // (sim/backend.hpp), reached through the shared LayerDispatcher: the scalar
-// arch::Sip oracle, the bit-sliced fast path, or the LUT kernel — all
-// byte-identical in outputs, cycle counts,
+// arch::Sip oracle, the bit-parallel multiply-add kernel, the bit-sliced
+// fast path, or the LUT kernel — all byte-identical in outputs, cycle counts,
 // streamed-precision means and dispatcher/detector statistics (golden-
 // pinned in tests/test_bitslice_engine.cpp, swept by
 // tests/test_backend_differential.cpp). Selection: FunctionalOptions::
@@ -55,8 +55,8 @@ struct FunctionalOptions {
   /// Force the scalar arch::Sip oracle (also: LOOM_FUNCTIONAL_SCALAR=1).
   bool force_scalar = false;
   /// Kernel selection: "" defers to LOOM_FUNCTIONAL_BACKEND, then "auto"
-  /// (per-layer autotuned); or a registered name ("scalar", "bitslice",
-  /// "lut"). Unknown names throw ConfigError at construction.
+  /// (per-layer autotuned); or a registered name ("scalar", "madd",
+  /// "bitslice", "lut"). Unknown names throw ConfigError at construction.
   std::string backend = {};
   /// Invoked at the top of every run_network / run_network_batch call; may
   /// throw, in which case the run fails before touching any state. This is

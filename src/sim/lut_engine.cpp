@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "nn/im2col.hpp"
+#include "sim/conv_stats.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -701,92 +702,23 @@ void LutEngine::conv_slab(const nn::Layer& layer,
                           std::int64_t g, std::int64_t slab,
                           std::span<nn::WideTensor* const> wides,
                           std::span<const std::uint8_t> wpack,
-                          Scratch& scratch, ConvStats& stats) const {
-  const int lanes = opts_.lanes;
-  const int cols = opts_.cols;
+                          Scratch& scratch) const {
   const std::int64_t inner = layer.inner_length();
   const std::int64_t windows = layer.windows();
   const std::int64_t cog = layer.group_out_channels();
-  const std::int64_t ic_count = ceil_div(inner, static_cast<std::int64_t>(lanes));
-  const std::int64_t fb_count = ceil_div(cog, static_cast<std::int64_t>(opts_.rows));
   const std::int64_t total_windows =
       windows * static_cast<std::int64_t>(inputs.size());
   const std::int64_t w0 = slab * slab_windows_;
   const std::int64_t cu =
       std::min<std::int64_t>(slab_windows_, total_windows - w0);
-  const std::int64_t n_groups = ceil_div(cu, static_cast<std::int64_t>(cols));
 
-  const int profile = spec.act_precision;
   const int pw = spec.weight_precision;
-  const auto prof_mask =
-      static_cast<std::uint32_t>((std::uint32_t{1} << profile) - 1);
+  const auto prof_mask = static_cast<std::uint32_t>(
+      (std::uint32_t{1} << spec.act_precision) - 1);
 
-  // ---- Phase 1: the dispatcher's streaming accounting, replicated with
-  // the bit-sliced engine's exact loop structure (chunk-major, column
-  // groups in ascending order) so every stat — including the
-  // floating-point streamed_pa sum — lands byte-identical.
-  const std::int64_t kh = layer.kernel_h;
-  const std::int64_t kw = layer.kernel_w;
-  std::uint32_t group_or[64];
-  for (std::int64_t ic = 0; ic < ic_count; ++ic) {
-    const std::int64_t n = std::min<std::int64_t>(lanes, inner - ic * lanes);
-    std::fill(group_or, group_or + n_groups, 0u);
-    for (std::int64_t l = 0; l < n; ++l) {
-      const std::int64_t flat = ic * lanes + l;
-      const std::int64_t ci = flat / (kh * kw);
-      const std::int64_t rem = flat % (kh * kw);
-      const std::int64_t ky = rem / kw;
-      const std::int64_t kx = rem % kw;
-      const std::int64_t c_base =
-          (g * layer.group_in_channels() + ci) * layer.in.h;
-      for (std::int64_t c0 = 0; c0 < cu;) {
-        const std::int64_t gw = w0 + c0;
-        const nn::Tensor& input = *inputs[static_cast<std::size_t>(gw / windows)];
-        const std::int64_t win0 = gw % windows;
-        const std::int64_t seg = std::min(cu - c0, windows - win0);
-        for (std::int64_t k = 0; k < seg; ++k) {
-          const std::int64_t window = win0 + k;
-          const std::int64_t c = c0 + k;
-          const std::int64_t iy =
-              (window / layer.out.w) * layer.stride + ky - layer.pad;
-          const std::int64_t ix =
-              (window % layer.out.w) * layer.stride + kx - layer.pad;
-          if (iy < 0 || iy >= layer.in.h || ix < 0 || ix >= layer.in.w) {
-            continue;
-          }
-          const Value v = input.flat((c_base + iy) * layer.in.w + ix);
-          group_or[c / cols] |=
-              static_cast<std::uint32_t>(static_cast<std::uint16_t>(v));
-        }
-        c0 += seg;
-      }
-    }
-    for (std::int64_t j = 0; j < n_groups; ++j) {
-      const std::int64_t group_cols =
-          std::min<std::int64_t>(cols, cu - j * cols);
-      int pa = profile;
-      if (spec.dynamic) {
-        pa = std::min(needed_bits_unsigned(group_or[j]), profile);
-        stats.detect_invocations += static_cast<std::uint64_t>(fb_count);
-        stats.detect_values +=
-            static_cast<std::uint64_t>(fb_count * group_cols * n);
-      }
-      stats.cycles += static_cast<std::uint64_t>(fb_count) *
-                      static_cast<std::uint64_t>(pw) *
-                      static_cast<std::uint64_t>(pa);
-      stats.chunks += fb_count;
-      stats.streamed_pa += static_cast<double>(pa) * static_cast<double>(fb_count);
-      stats.act_bits_streamed +=
-          static_cast<std::uint64_t>(pa) *
-          static_cast<std::uint64_t>(fb_count * group_cols * n);
-      stats.weight_bits_streamed += static_cast<std::uint64_t>(pw) *
-                                    static_cast<std::uint64_t>(cog * n);
-    }
-  }
-
-  // ---- Phase 2: per window, gather the group activations, build the live
-  // list (dead groups contribute nothing) and the partial-sum tables, then
-  // sweep every output feature with Pw lookups per live group.
+  // Per window, gather the group activations, build the live list (dead
+  // groups contribute nothing) and the partial-sum tables, then sweep every
+  // output feature with Pw lookups per live group.
   const std::int64_t g8_count = ceil_div(inner, std::int64_t{8});
   scratch.acts.resize(static_cast<std::size_t>(g8_count) * 8);
   scratch.acc.resize(static_cast<std::size_t>(cog));
@@ -862,6 +794,12 @@ LutEngine::ConvStats LutEngine::run_conv_batch(
   LOOM_EXPECTS(!(spec.act_signed && spec.dynamic));
   LOOM_EXPECTS(layer.inner_length() < kMaxInner);
 
+  // The modelled stats come from the shared pass (sim/conv_stats.hpp),
+  // before any pool task starts: it builds OR planes on the pool itself.
+  const ConvStats stats = conv_stream_stats(
+      layer, inputs, spec,
+      StatsGrid{.rows = opts_.rows, .cols = opts_.cols, .lanes = opts_.lanes});
+
   // Weight slices pack once per call, one row per output feature, striped
   // over the pool (read-only afterwards, shared by every task):
   // wpack[co][g8][b] holds bit b of output co's masked weights in group g8.
@@ -899,15 +837,14 @@ LutEngine::ConvStats LutEngine::run_conv_batch(
   const std::size_t stripes =
       std::min<std::size_t>(jobs, static_cast<std::size_t>(tasks));
 
-  std::vector<ConvStats> stripe_stats(std::max<std::size_t>(stripes, 1));
   const auto run_stripe = [&](std::size_t s, Scratch& scratch) {
     const auto lo = static_cast<std::int64_t>(
         (static_cast<std::size_t>(tasks) * s) / stripes);
     const auto hi = static_cast<std::int64_t>(
         (static_cast<std::size_t>(tasks) * (s + 1)) / stripes);
     for (std::int64_t t = lo; t < hi; ++t) {
-      conv_slab(layer, inputs, spec, t / slab_count, t % slab_count,
-                wides, wpack, scratch, stripe_stats[s]);
+      conv_slab(layer, inputs, spec, t / slab_count, t % slab_count, wides,
+                wpack, scratch);
     }
   };
 
@@ -915,24 +852,13 @@ LutEngine::ConvStats LutEngine::run_conv_batch(
     Scratch scratch;
     run_stripe(0, scratch);
   } else {
-    // Same disjoint-output striping (and deterministic stats reduction
-    // order) as the bit-sliced engine.
+    // Disjoint-output striping: every (group, slab) task writes its own
+    // windows' accumulators.
     std::vector<Scratch> scratches(stripes);
     shared_pool().parallel_for(
         stripes, [&](std::size_t s) { run_stripe(s, scratches[s]); });
   }
-
-  ConvStats total;
-  for (const ConvStats& s : stripe_stats) {
-    total.cycles += s.cycles;
-    total.streamed_pa += s.streamed_pa;
-    total.chunks += s.chunks;
-    total.act_bits_streamed += s.act_bits_streamed;
-    total.weight_bits_streamed += s.weight_bits_streamed;
-    total.detect_invocations += s.detect_invocations;
-    total.detect_values += s.detect_values;
-  }
-  return total;
+  return stats;
 }
 
 void LutEngine::run_fc(const nn::Layer& layer, const nn::Tensor& input,

@@ -14,9 +14,10 @@
 //
 // so the hot loop is Pw table lookups per (output, group) — zero multiplies,
 // and the cost is *independent of the activation precision* (the bit-sliced
-// engine's cost grows with every streamed activation plane). That makes the
-// LUT kernel the fast path for high-Pa / low-Pw layers, which the backend
-// autotuner discovers empirically.
+// engine's cost grows with every streamed activation plane). Table lookups
+// pay off at very low Pw; at the paper's profiles (conv Pw 11-12, FC Pw
+// 9-10) the bit-parallel `madd` kernel (sim/madd_engine.hpp) beats it on
+// every AlexNet layer, and the autotuner picks per cell by measurement.
 //
 // The OR-plane detected group precisions are reused two ways:
 //   - dead groups (all-zero activations) are skipped entirely via a live
@@ -26,10 +27,9 @@
 //     loop touches.
 //
 // Contract: byte-identical exact accumulators AND byte-identical ConvStats
-// to BitsliceEngine / the scalar oracle — the stats pass replicates the
-// dispatcher's per-(column-group, chunk) accounting with the same (group,
-// slab) task striping, so even the floating-point summation order of
-// streamed_pa matches.
+// to BitsliceEngine / the scalar oracle. The stats come from the shared
+// conv-stats pass (sim/conv_stats.hpp), which sums integers and converts
+// streamed_pa to double once, so no summation order is involved.
 #pragma once
 
 #include <cstdint>
@@ -165,8 +165,7 @@ class LutEngine {
                  const SliceSpec& spec,
                  std::int64_t g, std::int64_t slab,
                  std::span<nn::WideTensor* const> wides,
-                 std::span<const std::uint8_t> wpack, Scratch& scratch,
-                 ConvStats& stats) const;
+                 std::span<const std::uint8_t> wpack, Scratch& scratch) const;
 
   Options opts_;
   std::int64_t slab_windows_;  ///< windows per slab (multiple of cols)

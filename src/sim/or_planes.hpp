@@ -53,13 +53,20 @@ class ActOrPlanes {
   [[nodiscard]] std::int64_t windows() const noexcept { return windows_; }
   [[nodiscard]] std::int64_t ic_count() const noexcept { return ic_count_; }
 
+  /// The OR masks of (conv group g, input chunk ic), one per window.
+  [[nodiscard]] const std::uint16_t* row(std::int64_t g,
+                                         std::int64_t ic) const noexcept {
+    return masks_.data() +
+           static_cast<std::size_t>((g * ic_count_ + ic) * windows_);
+  }
+
   /// OR mask of the detection group at (conv group g, window block wb,
   /// input chunk ic) with `cols` concurrent windows (clipped at the window
   /// count, matching the hardware's partial tail block).
   [[nodiscard]] std::uint16_t group_or(std::int64_t g, std::int64_t ic,
                                        std::int64_t wb,
                                        int cols) const noexcept {
-    const std::uint16_t* r = row_ptr(g, ic);
+    const std::uint16_t* r = row(g, ic);
     const std::int64_t w0 = wb * cols;
     const std::int64_t w1 = std::min(windows_, w0 + cols);
     std::uint16_t ored = 0;
@@ -77,11 +84,6 @@ class ActOrPlanes {
   }
 
  private:
-  [[nodiscard]] const std::uint16_t* row_ptr(std::int64_t g,
-                                             std::int64_t ic) const noexcept {
-    return masks_.data() +
-           static_cast<std::size_t>((g * ic_count_ + ic) * windows_);
-  }
   void build_row(const Value* input, std::int64_t g, std::int64_t ic,
                  std::uint16_t* row, bool zero_row) const;
 
