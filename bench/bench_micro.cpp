@@ -19,13 +19,11 @@
 #include "common/error.hpp"
 #include "core/loom.hpp"
 #include "nn/im2col.hpp"
-#include "sim/autotune_cache.hpp"
 #include "sim/lut_engine.hpp"
 #include "serve/model_snapshot.hpp"
 #include "serve/server.hpp"
 #include "serve/shard_router.hpp"
 #include "sim/backend.hpp"
-#include "sim/bitslice_engine.hpp"
 #include "sim/conv_stats.hpp"
 #include "sim/functional.hpp"
 #include "sim/loom_sim.hpp"
@@ -346,7 +344,7 @@ BENCHMARK(BM_LayerWeightStats)->Unit(benchmark::kMillisecond)->UseRealTime();
 /// The VGG-scale conv layer both functional benches run: 64ch 28x28 -> 128
 /// filters 3x3 (57.8M MACs), profile Pa 9 / Pw 11, ReLU-sparse synthetic
 /// activations. The ratio BM_FunctionalConvLayerScalar /
-/// BM_FunctionalConvLayer is the bit-sliced engine's single-core speedup.
+/// BM_FunctionalConvLayer is the fast path's single-core speedup.
 struct FunctionalBenchCase {
   nn::Network net;
   nn::Tensor input;
@@ -410,13 +408,13 @@ void BM_FunctionalConvLayerThreaded(benchmark::State& state) {
 BENCHMARK(BM_FunctionalConvLayerThreaded)->Unit(benchmark::kMillisecond);
 
 // ---- LUT backend ------------------------------------------------------------
-// The per-activation-group partial-sum LUT kernel against the bit-sliced
-// engine on a LUT-friendly shape: 2-bit weights (one 1-bit slice plus the
-// negated MSB slice), many output channels to amortize the 256-entry table
-// build, dense 9-bit activations so the bit-sliced plane loop has real work
-// per group. The ratio BM_BitsliceConvLayerLowPw / BM_LutConvLayer is the
-// table kernel's win; BM_AutotunerPick shows "auto" finding it by itself and
-// the ~ns steady-state cost of asking the memo afterwards.
+// The per-activation-group partial-sum LUT kernel on a LUT-friendly shape:
+// 2-bit weights (one 1-bit slice plus the negated MSB slice), many output
+// channels to amortize the 256-entry table build, dense 9-bit activations.
+// Its items_per_second (MACs/s) against BM_MaddConvLayer's is the table
+// kernel's standing versus the bit-parallel one; BM_AutotunerPick shows
+// "auto" choosing between them by itself and the ~ns steady-state cost of
+// asking the memo afterwards.
 
 /// LUT showcase geometry at a chosen weight precision: 64ch 14x14 -> 256
 /// filters 3x3, Pa 9, dense. Pw 2 is the headline case; the sweep bench
@@ -452,20 +450,6 @@ void BM_LutConvLayer(benchmark::State& state) {
 }
 BENCHMARK(BM_LutConvLayer);
 
-void BM_BitsliceConvLayerLowPw(benchmark::State& state) {
-  // The bit-sliced engine on the identical layer: the head-to-head the
-  // autotuner decides per cell.
-  const FunctionalBenchCase c = lut_case();
-  sim::FunctionalLoomEngine engine(
-      sim::FunctionalOptions{.jobs = 1, .backend = "bitslice"});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        engine.run_conv(c.net.layer(0), c.input, c.weights, 16));
-  }
-  state.SetItemsProcessed(state.iterations() * c.net.layer(0).macs());
-}
-BENCHMARK(BM_BitsliceConvLayerLowPw);
-
 void BM_LutFcLayer(benchmark::State& state) {
   // FC through the LUT kernel: signed 16-bit activations, 2-bit weights,
   // 1024 -> 512 (tables built once per input, reused by all 512 rows).
@@ -499,7 +483,7 @@ void BM_AutotunerPick(benchmark::State& state) {
   const FunctionalBenchCase c = lut_case();
   const nn::Layer& layer = c.net.layer(0);
   const sim::BackendContext ctx{.jobs = 1};
-  const sim::BitsliceEngine::SliceSpec spec{
+  const sim::SliceSpec spec{
       .act_precision = layer.act_precision,
       .weight_precision = layer.weight_precision,
       .act_signed = false,
@@ -585,7 +569,7 @@ void BM_ConvStreamStats(benchmark::State& state) {
   // The modelled stats of AlexNet conv3 under dynamic detection: one OR
   // plane build plus the per-(chunk, column group) precision walk.
   const AlexnetLayerCase c = alexnet_layer("conv3");
-  const sim::BitsliceEngine::SliceSpec spec{
+  const sim::SliceSpec spec{
       .act_precision = c.layer.act_precision,
       .weight_precision = c.layer.weight_precision,
       .act_signed = false,
@@ -672,70 +656,16 @@ void BM_LutPackRow(benchmark::State& state) {
 }
 BENCHMARK(BM_LutPackRow)->Arg(0)->Arg(1)->Arg(2);
 
-void BM_AutotunerColdStart(benchmark::State& state) {
-  // What LOOM_AUTOTUNE_CACHE buys at process start. Each iteration plays a
-  // fresh "process" deciding the low-Pw cell: cold (arg 0) explores every
-  // candidate on real layer runs before it can answer; warm (arg 1) loads
-  // the persisted winners and answers immediately — the measured gap is the
-  // exploration work the cache deletes. layer_runs_to_decide makes the
-  // mechanism visible: ~candidate-count cold, exactly 0 warm.
-  const bool warm = state.range(0) != 0;
-  const std::string path = "/tmp/loom_bench_autotune.bin";
-  const FunctionalBenchCase c = lut_case();
-  const nn::Layer& layer = c.net.layer(0);
-  auto& tuner = sim::BackendAutotuner::instance();
-
-  const auto decided = [&tuner] {
-    for (const auto& d : tuner.decisions()) {
-      if (!d.winner.empty()) return true;
-    }
-    return false;
-  };
-  const auto converge = [&]() -> int {
-    sim::FunctionalLoomEngine engine(
-        sim::FunctionalOptions{.jobs = 1, .backend = "auto"});
-    int runs = 0;
-    while (!decided() && runs < 16) {
-      benchmark::DoNotOptimize(engine.run_conv(layer, c.input, c.weights, 16));
-      ++runs;
-    }
-    return runs;
-  };
-
-  if (warm) {
-    tuner.reset_for_test();
-    (void)converge();
-    sim::save_autotune_cache(path);
-  }
-
-  double runs_sum = 0;
-  for (auto _ : state) {
-    tuner.reset_for_test();
-    if (warm) benchmark::DoNotOptimize(sim::load_autotune_cache(path));
-    runs_sum += converge();
-  }
-  tuner.reset_for_test();
-  if (warm) std::remove(path.c_str());
-  state.SetLabel(warm ? "warm-cache" : "cold");
-  state.counters["layer_runs_to_decide"] =
-      runs_sum / static_cast<double>(state.iterations());
-}
-BENCHMARK(BM_AutotunerColdStart)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
 // ---- Batched serving throughput -------------------------------------------
-// Lane-packed multi-request execution vs one image at a time, in images/sec
+// Coalesced multi-request execution vs one image at a time, in images/sec
 // (items_per_second). The FC-heavy case is the serving regime the batcher
-// targets: a lone request fills a handful of the 64 word lanes, so
-// cross-request packing is the whole win (>= 1.5x at batch 16 is asserted
-// by the baseline trajectory). The conv case is AlexNet-conv1 scale
-// (stride-4 11x11 over a small image), where windows nearly fill the slabs
-// already and batching only recovers the slab-tail waste.
+// targets: a lone request is a GEMV that streams every weight row for one
+// output, a batch a GEMM that streams each row once for every request. The
+// conv case is AlexNet-conv1 scale (stride-4 11x11 over a small image),
+// where the batch's windows concatenate into one wider panel.
 
 /// AlexNet-conv1-scale: 3ch 56x56, 24 filters 11x11 stride 4 -> 12x12
-/// windows (144 of 192 slab lanes filled solo; batches pack the tails).
+/// windows per request.
 FunctionalBenchCase conv1_scale_case() {
   nn::Network net("conv1-scale", nn::Shape3{3, 56, 56});
   net.add_conv("c1", 24, 11, 4, 0).precision_group = 0;
@@ -753,8 +683,8 @@ FunctionalBenchCase conv1_scale_case() {
   return c;
 }
 
-/// FC-heavy: a 256 -> 96 -> 48 -> 10 MLP tail (every layer leaves most of
-/// the 64 output lanes empty when run one request at a time).
+/// FC-heavy: a 256 -> 96 -> 48 -> 10 MLP tail (small layers, so a single
+/// request's GEMV is dominated by streaming the weight rows).
 struct FcBenchCase {
   nn::Network net;
   std::vector<nn::Tensor> weights;
@@ -994,21 +924,6 @@ void BM_MemoryBoundVggConv(benchmark::State& state) {
                           (112 * 112 / 16));  // window blocks per run
 }
 BENCHMARK(BM_MemoryBoundVggConv)->Unit(benchmark::kMillisecond);
-
-void BM_BitsliceTranspose(benchmark::State& state) {
-  // The 64x64 bit transpose that converts sliced accumulators back to
-  // per-column integers (two per filter row per slab).
-  std::uint64_t a[64];
-  for (int i = 0; i < 64; ++i) {
-    a[i] = 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(i + 1);
-  }
-  for (auto _ : state) {
-    sim::transpose64(a);
-    benchmark::DoNotOptimize(a[0]);
-  }
-  state.SetItemsProcessed(state.iterations() * 64);
-}
-BENCHMARK(BM_BitsliceTranspose);
 
 // ---- Sharded serving ------------------------------------------------------
 

@@ -72,9 +72,9 @@ class Dispatcher {
   [[nodiscard]] WeightStream stream_weights(
       const std::vector<std::vector<Value>>& rows, int precision);
 
-  /// Fold externally-computed streaming totals into the counters: the
-  /// bit-sliced fast path moves the same bits word-parallel and reports
-  /// them here so dispatcher statistics stay engine-agnostic.
+  /// Fold externally-computed streaming totals into the counters: the fast
+  /// functional kernels model the same streamed bits (sim/conv_stats.hpp)
+  /// and report them here so dispatcher statistics stay engine-agnostic.
   void note_streamed(std::uint64_t act_bits, std::uint64_t weight_bits,
                      std::uint64_t detect_invocations,
                      std::uint64_t detect_values) noexcept {

@@ -71,9 +71,9 @@ inline constexpr int kBasePrecision = 16;
 }
 
 /// Bit positions of the positive (`+2^k`) and negative (`-2^k`) digits of
-/// the non-adjacent form of `mag` — the same dp/dm decomposition the
-/// bit-sliced engine's naf_decode applies when it enumerates effectual
-/// weight terms. Requires mag < 2^30 (one headroom bit for mag + 2*mag).
+/// the non-adjacent form of `mag` — the dp/dm decomposition the
+/// term-serial (Laconic) models use when they enumerate effectual weight
+/// terms. Requires mag < 2^30 (one headroom bit for mag + 2*mag).
 struct NafDigits {
   std::uint32_t plus = 0;
   std::uint32_t minus = 0;
@@ -92,8 +92,8 @@ struct NafDigits {
 [[nodiscard]] int naf_term_count(std::uint32_t mag) noexcept;
 
 /// FNV-1a over a byte range — the shared checksum/hash primitive behind
-/// the model-snapshot section checksums, the shard router's rendezvous
-/// hash, and the autotune cache framing.
+/// the model-snapshot section checksums and the shard router's rendezvous
+/// hash.
 [[nodiscard]] inline std::uint64_t fnv1a64(
     std::span<const std::uint8_t> bytes) noexcept {
   std::uint64_t h = 0xcbf29ce484222325ull;

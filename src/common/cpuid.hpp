@@ -1,5 +1,5 @@
 // Runtime CPU feature detection shared by every SIMD-dispatched kernel
-// (the bit-sliced Harley-Seal sweep, the LUT table build/lookup). One probe,
+// (the madd GEMM/GEMV tiles, the LUT table build/lookup). One probe,
 // one policy: kernels ask for the process-wide SimdLevel instead of each
 // carrying a private __builtin_cpu_supports call, so a single environment
 // override can force every dispatch site down to a lower tier — the switch

@@ -86,16 +86,6 @@ class SnapshotError : public Error {
   explicit SnapshotError(const std::string& what) : Error(what) {}
 };
 
-/// Thrown when a persistent autotune cache cannot be used: bad magic,
-/// version skew, truncation, checksum mismatch, a structurally invalid
-/// cell — or a key mismatch (different CPU SIMD tier or registered backend
-/// set), which makes a well-formed cache foreign to this process. Loading
-/// rejects the whole file; the autotuner's in-memory state is untouched.
-class AutotuneCacheError : public Error {
- public:
-  explicit AutotuneCacheError(const std::string& what) : Error(what) {}
-};
-
 namespace detail {
 [[noreturn]] inline void contract_fail(const char* kind, const char* cond,
                                        const char* file, int line) {

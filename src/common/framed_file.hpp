@@ -1,7 +1,7 @@
-// Checksummed section framing shared by the binary on-disk formats (model
-// snapshots, the autotuner winner cache). One format = one FramedFormat
-// value; the byte layout, the validation and the crash-safe file I/O live
-// here once:
+// Checksummed section framing for binary on-disk formats; model snapshots
+// (serve/model_snapshot.hpp) are the only format today. One format = one
+// FramedFormat value; the byte layout, the validation and the crash-safe
+// file I/O live here once:
 //
 //   header   magic (8) | version u32 | section_count u32
 //   section  id u32 | length u64 | fnv1a64(payload) u64 | payload bytes
@@ -29,9 +29,9 @@
 
 namespace loom::common {
 
-/// One framed file format. `fail` throws the format's error type
-/// (SnapshotError, AutotuneCacheError); every framing failure goes through
-/// it with a message prefixed by `noun`.
+/// One framed file format. `fail` throws the format's error type (e.g.
+/// SnapshotError); every framing failure goes through it with a message
+/// prefixed by `noun`.
 struct FramedFormat {
   char magic[8];
   std::uint32_t version;

@@ -10,8 +10,8 @@
 //   ...      sections in the exact order kName, kNetwork, kProfile,
 //            kInputSpec, kWeights; the last payload must end exactly at EOF
 //
-// The framing, its validation and the atomic save are common/framed_file's
-// (shared with the autotune cache). Every byte of the file is covered:
+// The framing, its validation and the atomic save are common/framed_file's.
+// Every byte of the file is covered:
 // payload bytes by the per-section FNV-1a checksum, structural bytes (magic, version, counts, ids, lengths,
 // checksums) by strict validation — so any truncation, trailing garbage,
 // bit flip or version skew fails decode with a typed SnapshotError

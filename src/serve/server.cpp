@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "sim/autotune_cache.hpp"
 #include "sim/backend.hpp"
 
 namespace loom::serve {
@@ -69,9 +68,6 @@ InferenceServer::InferenceServer(const ModelRegistry& models, ServeOptions opts)
   LOOM_EXPECTS(opts_.shed_watermark > 0.0 && opts_.shed_watermark <= 1.0);
   LOOM_EXPECTS(opts_.engine_retries >= 0);
   LOOM_EXPECTS(opts_.retry_backoff.count() >= 0);
-  // Warm the process autotuner before workers spin up, so the first batch
-  // already sees cached winners instead of exploring per-layer.
-  sim::init_autotune_cache_from_env();
   workers_.reserve(static_cast<std::size_t>(opts_.workers));
   try {
     for (int i = 0; i < opts_.workers; ++i) {
@@ -297,11 +293,8 @@ ServerStats InferenceServer::stats() const {
   }
   // Sampled outside mutex_: the autotuner has its own lock, and holding two
   // here invites ordering bugs for zero benefit.
-  const auto tuner = sim::BackendAutotuner::instance().cache_stats();
-  s.autotune_cached_cells = tuner.loaded_cells;
-  s.autotune_hits = tuner.hits;
-  s.autotune_misses = tuner.misses;
-  s.autotune_explore_records = tuner.explore_records;
+  s.autotune_explore_records =
+      sim::BackendAutotuner::instance().cache_stats().explore_records;
   return s;
 }
 
@@ -356,7 +349,7 @@ InferenceServer::ModelQueue* InferenceServer::best_queue() {
 
 void InferenceServer::worker_loop() {
   // One engine per worker: engines carry dispatcher statistics and scratch
-  // state, so they are confined to their thread; the bit-sliced fan-out
+  // state, so they are confined to their thread; the fast kernels' fan-out
   // inside a run still stripes over the shared pool. The fault injector's
   // engine-failure site rides the engine's pre-run hook, so injected
   // failures hit the primary attempts and retries but never the scalar
@@ -371,7 +364,7 @@ void InferenceServer::worker_loop() {
   }
   sim::FunctionalLoomEngine engine(primary_opts);
   // Scalar-oracle fallback engine, built on first use: byte-identical
-  // outputs to the bit-sliced path (pinned by test), hook-free.
+  // outputs to the fast kernels (pinned by test), hook-free.
   std::optional<sim::FunctionalLoomEngine> scalar;
   const auto scalar_engine = [&]() -> sim::FunctionalLoomEngine& {
     if (!scalar) {
@@ -471,7 +464,7 @@ void InferenceServer::worker_loop() {
     for (Pending& p : batch) inputs.push_back(std::move(p.input));
     const Model& model = *batch.front().model;
 
-    // Graceful degradation: bit-sliced attempts with exponential backoff,
+    // Graceful degradation: fast-kernel attempts with exponential backoff,
     // then the scalar oracle, then per-future failure. The worker itself
     // never dies on an engine error.
     const Clock::time_point t0 = Clock::now();

@@ -1,15 +1,14 @@
-// Batched inference serving over the bit-sliced functional engine, with an
+// Batched inference serving over the functional Loom engine, with an
 // overload-resilience layer: admission control, priority classes, deadlines,
 // load shedding and graceful degradation.
 //
-// The Loom SIP grid amortizes bit-serial work across 64 concurrent windows
-// per machine word, but a single small image (or an FC tail, whose window
-// count is 1) leaves most of those lanes empty. The InferenceServer fills
-// them *across requests*: concurrent submissions for the same
-// (network, profile) pair coalesce into lane-packed batches that run
-// through FunctionalLoomEngine::run_network_batch, where the im2col window
-// ranges of different requests concatenate into the same 64-lane slabs and
-// each request's outputs demux back out.
+// A single small image (or an FC tail, whose window count is 1) gives the
+// functional kernels little work per weight fetched. The InferenceServer
+// batches *across requests*: concurrent submissions for the same
+// (network, profile) pair coalesce into batches that run through
+// FunctionalLoomEngine::run_network_batch, where the im2col window ranges
+// of different requests concatenate into one window axis, FC weight rows
+// stream once per batch, and each request's outputs demux back out.
 //
 // Request lifecycle:
 //   submit(model, input, {priority, deadline})
@@ -25,7 +24,7 @@
 //     |  requests (DeadlineExceededError), then pops the batch in
 //     |  class-major FIFO order.
 //   engine run with graceful degradation
-//     |  a failed bit-sliced run retries with exponential backoff, then
+//     |  a failed fast-kernel run retries with exponential backoff, then
 //     |  falls back to the scalar-oracle engine (byte-identical outputs,
 //     |  pinned by test); if that fails too the batch's futures fail
 //     |  individually — the worker thread never crashes.
@@ -108,10 +107,9 @@ struct ServeOptions {
   /// admissions shed with OverloadError instead of queueing.
   double shed_watermark = 0.75;
   /// Executor threads, each with its own functional engine. The engines'
-  /// (group, slab) fan-out additionally uses the shared pool per
-  /// `engine.jobs`.
+  /// kernel fan-out additionally uses the shared pool per `engine.jobs`.
   int workers = 1;
-  /// Bit-sliced engine re-attempts after a failed run, with exponential
+  /// Fast-kernel engine re-attempts after a failed run, with exponential
   /// backoff, before falling back to the scalar oracle.
   int engine_retries = 1;
   /// Backoff before the first retry; doubles per subsequent retry.
@@ -132,7 +130,7 @@ struct InferenceResult {
   std::chrono::nanoseconds run_time{0};    ///< engine wall clock of the batch
   Priority priority = Priority::kInteractive;
   /// True when the batch ran on the scalar-oracle fallback engine after the
-  /// bit-sliced attempts failed (outputs are byte-identical either way).
+  /// fast-kernel attempts failed (outputs are byte-identical either way).
   bool via_fallback = false;
   /// Engine runs attempted for the batch (1 = first try succeeded).
   int engine_attempts = 1;
@@ -188,23 +186,17 @@ struct ServerStats {
   std::uint64_t timed_out = 0;
   std::uint64_t batches = 0;        ///< engine runs that formed
   std::uint64_t batch_requests = 0; ///< requests across formed batches
-  std::uint64_t retries = 0;        ///< bit-sliced re-attempts
+  std::uint64_t retries = 0;        ///< fast-kernel re-attempts
   std::uint64_t fallbacks = 0;      ///< batches degraded to the scalar oracle
   std::uint64_t peak_queue_depth = 0;
   std::uint64_t peak_batch = 0;
-  /// Layer runs per functional kernel ("scalar", "bitslice", "lut", ...):
+  /// Layer runs per functional kernel ("scalar", "madd", "lut", ...):
   /// which backend actually served each weighted layer, fallback runs
   /// included — the observable trace of autotuner + degradation decisions.
   std::map<std::string, std::uint64_t> backend_layer_runs;
-  /// Persistent-autotune counters (process-wide BackendAutotuner, sampled
-  /// at stats() time — they cover every engine in the process, not just
-  /// this server's): cells installed from LOOM_AUTOTUNE_CACHE, choose()
-  /// calls answered by a cache-installed winner vs. not, and exploration
-  /// measurements fed to undecided cells. A warm-cache process reports
-  /// autotune_explore_records == 0.
-  std::uint64_t autotune_cached_cells = 0;
-  std::uint64_t autotune_hits = 0;
-  std::uint64_t autotune_misses = 0;
+  /// Exploration measurements fed to undecided autotuner cells (the
+  /// process-wide BackendAutotuner, sampled at stats() time — it covers
+  /// every engine in the process, not just this server's).
   std::uint64_t autotune_explore_records = 0;
   std::array<ClassStats, kPriorityClasses> by_class;
 

@@ -14,7 +14,6 @@
 #include "arch/tile.hpp"
 #include "common/error.hpp"
 #include "nn/im2col.hpp"
-#include "sim/autotune_cache.hpp"
 #include "sim/functional.hpp"
 #include "sim/lut_engine.hpp"
 #include "sim/madd_engine.hpp"
@@ -36,13 +35,13 @@ class ScalarBackend final : public FunctionalBackend {
   explicit ScalarBackend(const BackendContext& ctx)
       : ctx_(ctx), dispatcher_(ctx.lanes) {}
 
-  BitsliceEngine::ConvStats run_conv_batch(
+  ConvStats run_conv_batch(
       const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
-      const nn::Tensor& weights, const BitsliceEngine::SliceSpec& spec,
+      const nn::Tensor& weights, const SliceSpec& spec,
       std::span<nn::WideTensor* const> wides) override {
     LOOM_EXPECTS(!spec.act_signed);  // the scalar conv grid is unsigned-only
     LOOM_EXPECTS(!inputs.empty() && inputs.size() == wides.size());
-    BitsliceEngine::ConvStats st;
+    ConvStats st;
     const std::uint64_t act0 = dispatcher_.activation_bits_streamed();
     const std::uint64_t wgt0 = dispatcher_.weight_bits_streamed();
     const std::uint64_t inv0 = dispatcher_.detector().invocations();
@@ -133,7 +132,7 @@ class ScalarBackend final : public FunctionalBackend {
   /// One (filter-block, window-block) tile pass over all input chunks.
   std::uint64_t conv_block(const nn::Layer& layer, const nn::Tensor& input,
                            const nn::Tensor& weights,
-                           const BitsliceEngine::SliceSpec& spec,
+                           const SliceSpec& spec,
                            std::int64_t g, std::int64_t fb, std::int64_t wb,
                            nn::WideTensor& wide, double& streamed_pa,
                            std::int64_t& chunks) {
@@ -228,35 +227,6 @@ class ScalarBackend final : public FunctionalBackend {
 };
 
 // ---------------------------------------------------------------------------
-// Bit-sliced backend: thin adapter over BitsliceEngine.
-
-class BitsliceBackend final : public FunctionalBackend {
- public:
-  explicit BitsliceBackend(const BackendContext& ctx)
-      : engine_({.rows = ctx.rows,
-                 .cols = ctx.cols,
-                 .lanes = ctx.lanes,
-                 .jobs = ctx.jobs}) {}
-
-  BitsliceEngine::ConvStats run_conv_batch(
-      const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
-      const nn::Tensor& weights, const BitsliceEngine::SliceSpec& spec,
-      std::span<nn::WideTensor* const> wides) override {
-    return engine_.run_conv_batch(layer, inputs, weights, spec, wides);
-  }
-
-  void run_fc_batch(const nn::Layer& layer,
-                    std::span<const nn::Tensor* const> inputs,
-                    const nn::Tensor& weights, int weight_precision,
-                    std::span<nn::WideTensor* const> wides) override {
-    engine_.run_fc_batch(layer, inputs, weights, weight_precision, wides);
-  }
-
- private:
-  BitsliceEngine engine_;
-};
-
-// ---------------------------------------------------------------------------
 // LUT backend: the T-MAC-style table kernel.
 
 class LutBackend final : public FunctionalBackend {
@@ -267,9 +237,9 @@ class LutBackend final : public FunctionalBackend {
                  .lanes = ctx.lanes,
                  .jobs = ctx.jobs}) {}
 
-  BitsliceEngine::ConvStats run_conv_batch(
+  ConvStats run_conv_batch(
       const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
-      const nn::Tensor& weights, const BitsliceEngine::SliceSpec& spec,
+      const nn::Tensor& weights, const SliceSpec& spec,
       std::span<nn::WideTensor* const> wides) override {
     return engine_.run_conv_batch(layer, inputs, weights, spec, wides);
   }
@@ -296,9 +266,9 @@ class MaddBackend final : public FunctionalBackend {
                  .lanes = ctx.lanes,
                  .jobs = ctx.jobs}) {}
 
-  BitsliceEngine::ConvStats run_conv_batch(
+  ConvStats run_conv_batch(
       const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
-      const nn::Tensor& weights, const BitsliceEngine::SliceSpec& spec,
+      const nn::Tensor& weights, const SliceSpec& spec,
       std::span<nn::WideTensor* const> wides) override {
     return engine_.run_conv_batch(layer, inputs, weights, spec, wides);
   }
@@ -320,15 +290,12 @@ std::unique_ptr<FunctionalBackend> make_scalar(const BackendContext& ctx) {
   return std::make_unique<ScalarBackend>(ctx);
 }
 
+/// The grid envelope of the fast backends: a column group fits one 64-bit
+/// slab and an input chunk at most 32 lanes. Anything wider runs on the
+/// scalar oracle.
 bool grid_supports(const BackendContext& ctx) {
-  return BitsliceEngine::supports({.rows = ctx.rows,
-                                   .cols = ctx.cols,
-                                   .lanes = ctx.lanes,
-                                   .jobs = ctx.jobs});
-}
-
-std::unique_ptr<FunctionalBackend> make_bitslice(const BackendContext& ctx) {
-  return std::make_unique<BitsliceBackend>(ctx);
+  return ctx.cols >= 1 && ctx.cols <= 64 && ctx.lanes >= 1 &&
+         ctx.lanes <= 32 && ctx.rows >= 1;
 }
 
 std::unique_ptr<FunctionalBackend> make_lut(const BackendContext& ctx) {
@@ -358,9 +325,6 @@ BackendRegistry::BackendRegistry() : impl_(new Impl) {
   impl_->entries.push_back(
       {.name = "madd", .tunable = true, .supports = grid_supports,
        .make = make_madd});
-  impl_->entries.push_back(
-      {.name = "bitslice", .tunable = true, .supports = grid_supports,
-       .make = make_bitslice});
   impl_->entries.push_back(
       {.name = "lut", .tunable = true, .supports = grid_supports,
        .make = make_lut});
@@ -451,7 +415,7 @@ std::string TuneKey::to_string() const {
 }
 
 TuneKey conv_tune_key(const nn::Layer& layer,
-                      const BitsliceEngine::SliceSpec& spec, int batch,
+                      const SliceSpec& spec, int batch,
                       const BackendContext& ctx) {
   TuneKey k;
   k.kind = 0;
@@ -505,7 +469,6 @@ struct BackendAutotuner::Impl {
     std::set<std::string> claimed;  ///< handed out, measurement in flight
     std::string winner;
     bool pinned = false;
-    bool from_cache = false;  ///< winner installed from a persistent cache
   };
 
   mutable std::mutex mu;
@@ -566,11 +529,7 @@ std::string BackendAutotuner::choose(const TuneKey& key,
     }
     Impl::maybe_decide(cell);
   }
-  if (!cell.winner.empty()) {
-    ++(cell.from_cache ? impl_->cache_stats.hits : impl_->cache_stats.misses);
-    return cell.winner;
-  }
-  ++impl_->cache_stats.misses;
+  if (!cell.winner.empty()) return cell.winner;
   // Exploration: hand out the next unsampled, unclaimed candidate so its
   // timing piggybacks on a real run. A claim that never records (the run
   // threw) simply falls through to the argmin-or-first fallback below.
@@ -628,32 +587,6 @@ std::vector<BackendAutotuner::Decision> BackendAutotuner::decisions() const {
   return out;
 }
 
-std::size_t BackendAutotuner::install(std::span<const Decision> decisions) {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  if (!impl_->pin.empty()) return 0;  // a pin outranks any persisted winner
-  std::size_t installed = 0;
-  for (const Decision& d : decisions) {
-    if (d.winner.empty() || d.samples.empty()) continue;
-    Impl::Cell cell;
-    bool winner_sampled = false;
-    for (const Sample& s : d.samples) {
-      cell.candidates.push_back(s.backend);
-      cell.samples[s.backend] = s.ns;
-      winner_sampled |= s.backend == d.winner;
-    }
-    if (!winner_sampled) continue;
-    cell.winner = d.winner;
-    cell.from_cache = true;
-    // In-process state wins: a cell this process already started exploring
-    // (or decided) is not overwritten by the cache.
-    if (impl_->cells.try_emplace(d.key, std::move(cell)).second) {
-      ++installed;
-      ++impl_->cache_stats.loaded_cells;
-    }
-  }
-  return installed;
-}
-
 BackendAutotuner::CacheStats BackendAutotuner::cache_stats() const {
   std::lock_guard<std::mutex> lock(impl_->mu);
   return impl_->cache_stats;
@@ -680,9 +613,6 @@ LayerDispatcher::LayerDispatcher(std::string_view requested, bool force_scalar,
     : ctx_(ctx), resolved_(resolve_backend_name(requested, force_scalar, ctx)) {
   if (resolved_ == "auto") {
     candidates_ = BackendRegistry::instance().tunable_names(ctx_);
-    // Warm the process autotuner from LOOM_AUTOTUNE_CACHE (no-op when unset
-    // or already initialized) so tuned cells skip per-process exploration.
-    init_autotune_cache_from_env();
   }
 }
 
@@ -716,11 +646,11 @@ void LayerDispatcher::dispatch(const TuneKey& key, std::string& used,
                                       static_cast<std::uint64_t>(ns.count()));
 }
 
-BitsliceEngine::ConvStats LayerDispatcher::run_conv(
+ConvStats LayerDispatcher::run_conv(
     const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
-    const nn::Tensor& weights, const BitsliceEngine::SliceSpec& spec,
+    const nn::Tensor& weights, const SliceSpec& spec,
     std::span<nn::WideTensor* const> wides, std::string& used) {
-  BitsliceEngine::ConvStats st;
+  ConvStats st;
   dispatch(conv_tune_key(layer, spec, static_cast<int>(inputs.size()), ctx_),
            used, [&](FunctionalBackend& b) {
              st = b.run_conv_batch(layer, inputs, weights, spec, wides);

@@ -2,9 +2,9 @@
 //
 // A FunctionalBackend is one interchangeable kernel implementation of the
 // functional engines' layer math: exact integer conv/FC accumulators plus
-// the analytic streaming statistics (BitsliceEngine::ConvStats) the
-// dispatcher-driven scalar grid would report. Every backend is held to the
-// same contract — byte-identical accumulators AND byte-identical stats —
+// the analytic streaming statistics (ConvStats, sim/conv_stats.hpp) that
+// the dispatcher-driven scalar grid would report. Every backend is held to
+// the same contract — byte-identical accumulators AND byte-identical stats —
 // so FunctionalLoomEngine can swap kernels per layer without any observable
 // difference beyond wall-clock time (pinned by
 // tests/test_backend_differential.cpp). Every entry point is batched; a solo
@@ -14,24 +14,27 @@
 //   scalar     — the arch::Sip oracle, bit-by-bit through a dispatcher
 //                (ground truth; never an autotuner candidate); a batch runs
 //                as N solo passes
-//   madd       — bit-parallel int16 multiply-add GEMM/GEMV (vpmaddwd) with
-//                the modelled stats from the shared pass in
-//                sim/conv_stats.hpp (sim/madd_engine.hpp); first among the
-//                tunables, so a cold "auto" cell already runs it
-//   bitslice   — 64 SIP columns per machine word (sim/bitslice_engine.hpp)
+//   madd       — bit-parallel int16 multiply-add GEMM/GEMV (vpmaddwd)
+//                (sim/madd_engine.hpp); first among the tunables, so a
+//                cold "auto" cell already runs it
 //   lut        — T-MAC-style per-activation-group partial-sum LUTs
 //                (sim/lut_engine.hpp), L1-tiled table working set
+//
+// Both tunables take their conv stats from the one shared pass,
+// conv_stream_stats (sim/conv_stats.hpp), and accept the same grid
+// envelope: cols 1..64, lanes 1..32, rows >= 1.
 //
 // Backend selection (resolve_backend_name): FunctionalOptions::force_scalar
 // or LOOM_FUNCTIONAL_SCALAR pick "scalar"; otherwise an explicit
 // FunctionalOptions::backend, then the LOOM_FUNCTIONAL_BACKEND environment
 // variable, then "auto". "auto" hands each (layer geometry, precision,
 // batch) cell to the BackendAutotuner, which samples every tunable backend
-// once on the real layer run, memoizes the fastest, and exposes its
-// decisions; LOOM_AUTOTUNE_PIN=<name> pins every cell for reproducible
-// runs. A named backend that cannot pack the grid falls back to "scalar",
-// matching the historical cols>64 behavior. Both functional engines reach
-// all of this through one LayerDispatcher (bottom of this file).
+// once on the real layer run, memoizes the fastest in-process, and exposes
+// its decisions; LOOM_AUTOTUNE_PIN=<name> pins every cell for reproducible
+// runs. A named backend whose envelope excludes the grid falls back to
+// "scalar", matching the historical cols>64 behavior. Both functional
+// engines reach all of this through one LayerDispatcher (bottom of this
+// file).
 #pragma once
 
 #include <cstdint>
@@ -45,7 +48,7 @@
 
 #include "nn/layer.hpp"
 #include "nn/tensor.hpp"
-#include "sim/bitslice_engine.hpp"
+#include "sim/conv_stats.hpp"
 
 namespace loom::sim {
 
@@ -61,15 +64,16 @@ struct BackendContext {
 /// One functional kernel. Conv returns the analytic streaming stats; FC
 /// reports none (the FC cycle model is analytic in the engine). Instances
 /// are engine-confined: calls need no internal synchronization beyond what
-/// the implementation's own (group, slab) fan-out does.
+/// the implementation's own fan-out over the shared pool does.
 class FunctionalBackend {
  public:
   virtual ~FunctionalBackend() = default;
 
-  virtual BitsliceEngine::ConvStats run_conv_batch(
-      const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
-      const nn::Tensor& weights, const BitsliceEngine::SliceSpec& spec,
-      std::span<nn::WideTensor* const> wides) = 0;
+  virtual ConvStats run_conv_batch(const nn::Layer& layer,
+                                   std::span<const nn::Tensor* const> inputs,
+                                   const nn::Tensor& weights,
+                                   const SliceSpec& spec,
+                                   std::span<nn::WideTensor* const> wides) = 0;
 
   virtual void run_fc_batch(const nn::Layer& layer,
                             std::span<const nn::Tensor* const> inputs,
@@ -126,7 +130,7 @@ class BackendRegistry {
 /// One autotuner memoization cell: a layer's geometry + streamed
 /// precisions + batch + grid + thread fan-out. Everything that changes
 /// which kernel wins (jobs matters: the kernels scale differently with
-/// stripe count, and a persisted winner must not leak across fan-outs).
+/// stripe count).
 struct TuneKey {
   int kind = 0;  ///< 0 = conv, 1 = fc
   std::int64_t in_c = 0, in_h = 0, in_w = 0, out_c = 0;
@@ -143,8 +147,8 @@ struct TuneKey {
 };
 
 [[nodiscard]] TuneKey conv_tune_key(const nn::Layer& layer,
-                                    const BitsliceEngine::SliceSpec& spec,
-                                    int batch, const BackendContext& ctx);
+                                    const SliceSpec& spec, int batch,
+                                    const BackendContext& ctx);
 [[nodiscard]] TuneKey fc_tune_key(const nn::Layer& layer, int weight_precision,
                                   int batch, const BackendContext& ctx);
 
@@ -178,22 +182,9 @@ class BackendAutotuner {
   /// Snapshot of every cell, deterministic (key-sorted) order.
   [[nodiscard]] std::vector<Decision> decisions() const;
 
-  /// Install decided cells parsed from a persistent cache
-  /// (sim/autotune_cache.hpp): each becomes a memoized winner, so choose()
-  /// answers immediately — no per-process re-measurement. Entries without a
-  /// winner, whose winner is not among their samples, or whose key already
-  /// has a cell are skipped; when LOOM_AUTOTUNE_PIN is set nothing installs
-  /// (the pin outranks any cache). Returns the number installed.
-  std::size_t install(std::span<const Decision> decisions);
-
-  /// Cross-process memoization counters. hits/misses are per choose() call:
-  /// a hit means a cache-installed winner answered; explore_records counts
-  /// record() calls that fed a still-undecided cell (zero on a process that
-  /// started from a warm cache). Process-wide, like the autotuner itself.
+  /// Exploration counter: record() calls that fed a still-undecided cell.
+  /// Process-wide, like the autotuner itself.
   struct CacheStats {
-    std::uint64_t loaded_cells = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
     std::uint64_t explore_records = 0;
   };
   [[nodiscard]] CacheStats cache_stats() const;
@@ -230,12 +221,10 @@ class LayerDispatcher {
 
   /// Run one conv batch on the selected kernel; `used` reports the kernel
   /// that ran.
-  BitsliceEngine::ConvStats run_conv(const nn::Layer& layer,
-                                     std::span<const nn::Tensor* const> inputs,
-                                     const nn::Tensor& weights,
-                                     const BitsliceEngine::SliceSpec& spec,
-                                     std::span<nn::WideTensor* const> wides,
-                                     std::string& used);
+  ConvStats run_conv(const nn::Layer& layer,
+                     std::span<const nn::Tensor* const> inputs,
+                     const nn::Tensor& weights, const SliceSpec& spec,
+                     std::span<nn::WideTensor* const> wides, std::string& used);
   void run_fc(const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
               const nn::Tensor& weights, int weight_precision,
               std::span<nn::WideTensor* const> wides, std::string& used);

@@ -10,9 +10,9 @@
 
 namespace loom::sim {
 
-BitsliceEngine::ConvStats conv_stream_stats(
+ConvStats conv_stream_stats(
     const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
-    const BitsliceEngine::SliceSpec& spec, const StatsGrid& grid) {
+    const SliceSpec& spec, const StatsGrid& grid) {
   LOOM_EXPECTS(layer.kind == nn::LayerKind::kConv);
   LOOM_EXPECTS(!inputs.empty());
   LOOM_EXPECTS(grid.rows >= 1 && grid.cols >= 1 && grid.lanes >= 1);
@@ -75,7 +75,7 @@ BitsliceEngine::ConvStats conv_stream_stats(
     }
   }
 
-  BitsliceEngine::ConvStats st;
+  ConvStats st;
   st.cycles = fb * pw * pa_sum;
   st.streamed_pa = static_cast<double>(fb * pa_sum);
   st.chunks = static_cast<std::int64_t>(fb * entries);

@@ -20,18 +20,46 @@
 //   - every sum is an integer, and streamed_pa converts to double once, so
 //     the result is exact and independent of summation order.
 //
-// Byte-identical to the inline accounting of BitsliceEngine and the scalar
-// oracle (pinned by the golden digests in tests/test_lut_golden.cpp and
-// tests/test_bitslice_engine.cpp).
+// Byte-identical to the dispatcher accounting of the scalar oracle (pinned
+// by the golden digests in tests/test_lut_golden.cpp and
+// tests/test_functional_golden.cpp).
 #pragma once
 
+#include <cstdint>
 #include <span>
 
+#include "common/bitops.hpp"
 #include "nn/layer.hpp"
 #include "nn/tensor.hpp"
-#include "sim/bitslice_engine.hpp"
 
 namespace loom::sim {
+
+/// Streaming semantics of one conv layer run — the backend contract's
+/// input. Mirrors what the dispatcher + arch::Sip grid would do:
+/// activations serialized at `act_precision` planes (optionally trimmed per
+/// column group by dynamic detection), weights at `weight_precision`
+/// two's-complement planes with a negated MSB pass. `act_signed`
+/// additionally negates the activation MSB plane (requires act_precision ==
+/// 16; used by the DPNN path).
+struct SliceSpec {
+  int act_precision = kBasePrecision;
+  int weight_precision = kBasePrecision;
+  bool act_signed = false;
+  bool dynamic = false;
+};
+
+/// Cycle and data-movement accounting identical to what the scalar
+/// dispatcher-driven grid reports for the same layer — the backend
+/// contract's output beside the exact accumulators.
+struct ConvStats {
+  std::uint64_t cycles = 0;
+  double streamed_pa = 0.0;  ///< sum of streamed Pa over chunks
+  std::int64_t chunks = 0;
+  std::uint64_t act_bits_streamed = 0;
+  std::uint64_t weight_bits_streamed = 0;
+  std::uint64_t detect_invocations = 0;
+  std::uint64_t detect_values = 0;
+};
 
 /// The SIP grid the stats are modelled on.
 struct StatsGrid {
@@ -43,8 +71,8 @@ struct StatsGrid {
 /// Stats of running `layer` over `inputs` (windows concatenated in request
 /// order) under `spec` on `grid`. Builds ActOrPlanes on the shared pool when
 /// spec.dynamic, so it must not be called from inside a shared_pool() task.
-[[nodiscard]] BitsliceEngine::ConvStats conv_stream_stats(
+[[nodiscard]] ConvStats conv_stream_stats(
     const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
-    const BitsliceEngine::SliceSpec& spec, const StatsGrid& grid);
+    const SliceSpec& spec, const StatsGrid& grid);
 
 }  // namespace loom::sim

@@ -4,7 +4,7 @@
 
 #include "common/error.hpp"
 #include "nn/im2col.hpp"
-#include "sim/bitslice_engine.hpp"
+#include "sim/conv_stats.hpp"
 
 namespace loom::sim {
 
@@ -16,13 +16,13 @@ Value window_value(const nn::Layer& layer, const nn::Tensor& input,
   return idx < 0 ? 0 : input.flat(idx);
 }
 
-/// DPNN semantics for the word-parallel backends: every operand at full
-/// signed 16-bit precision, no dynamic trimming. `rows`/`cols` only shape
-/// the slab walk — the exact accumulators do not depend on them.
-constexpr BitsliceEngine::SliceSpec kDpnnSpec{.act_precision = kBasePrecision,
-                                              .weight_precision = kBasePrecision,
-                                              .act_signed = true,
-                                              .dynamic = false};
+/// DPNN semantics for the fast backends: every operand at full signed
+/// 16-bit precision, no dynamic trimming. `rows`/`cols` only shape the
+/// stats — the exact accumulators do not depend on them.
+constexpr SliceSpec kDpnnSpec{.act_precision = kBasePrecision,
+                              .weight_precision = kBasePrecision,
+                              .act_signed = true,
+                              .dynamic = false};
 
 /// Allocate one run per request (accumulators of `wide_shape`) and marshal
 /// the pointer views the word-parallel backends consume.

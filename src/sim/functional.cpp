@@ -112,12 +112,12 @@ FunctionalBatchLayerRun FunctionalLoomEngine::run_conv_batch(
   std::vector<const nn::Tensor*> in_ptrs;
   std::vector<nn::WideTensor*> wide_ptrs;
   batch_ptrs(inputs, run.wides, in_ptrs, wide_ptrs);
-  const BitsliceEngine::SliceSpec spec{
+  const SliceSpec spec{
       .act_precision = layer.act_precision,
       .weight_precision = layer.weight_precision,
       .act_signed = false,
       .dynamic = opts_.dynamic_act_precision};
-  const BitsliceEngine::ConvStats st =
+  const ConvStats st =
       layers_.run_conv(layer, in_ptrs, weights, spec, wide_ptrs, run.backend);
   run.cycles = st.cycles;
   run.mean_streamed_precision =

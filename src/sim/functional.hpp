@@ -12,10 +12,10 @@
 //
 // Layer math runs on an interchangeable kernel from the backend registry
 // (sim/backend.hpp), reached through the shared LayerDispatcher: the scalar
-// arch::Sip oracle, the bit-parallel multiply-add kernel, the bit-sliced
-// fast path, or the LUT kernel — all byte-identical in outputs, cycle counts,
-// streamed-precision means and dispatcher/detector statistics (golden-
-// pinned in tests/test_bitslice_engine.cpp, swept by
+// arch::Sip oracle, the bit-parallel multiply-add kernel, or the LUT kernel
+// — all byte-identical in outputs, cycle counts, streamed-precision means
+// and dispatcher/detector statistics (golden-pinned in
+// tests/test_functional_golden.cpp, swept by
 // tests/test_backend_differential.cpp). Selection: FunctionalOptions::
 // backend, then LOOM_FUNCTIONAL_BACKEND, then "auto" — which hands each
 // layer to the BackendAutotuner to memoize the empirically fastest kernel.
@@ -37,7 +37,6 @@
 #include "nn/reference.hpp"
 #include "nn/tensor.hpp"
 #include "sim/backend.hpp"
-#include "sim/bitslice_engine.hpp"
 
 namespace loom::sim {
 
@@ -55,8 +54,9 @@ struct FunctionalOptions {
   /// Force the scalar arch::Sip oracle (also: LOOM_FUNCTIONAL_SCALAR=1).
   bool force_scalar = false;
   /// Kernel selection: "" defers to LOOM_FUNCTIONAL_BACKEND, then "auto"
-  /// (per-layer autotuned); or a registered name ("scalar", "madd",
-  /// "bitslice", "lut"). Unknown names throw ConfigError at construction.
+  /// (per-layer autotuned between "madd" and "lut"); or a registered name
+  /// ("scalar", "madd", "lut"). Unknown names throw ConfigError at
+  /// construction.
   std::string backend = {};
   /// Invoked at the top of every run_network / run_network_batch call; may
   /// throw, in which case the run fails before touching any state. This is
@@ -138,16 +138,16 @@ class FunctionalLoomEngine {
 
   // ---- Batched (multi-request) execution ----------------------------------
   // N same-shape inputs run as one coalesced batch: conv im2col window
-  // ranges of different requests concatenate into the same 64-lane slabs of
-  // the word-parallel backends, FC batches pack requests into the word
-  // lanes, and every request's outputs demux back out. Requantization
+  // ranges of different requests concatenate into one column range of the
+  // fast backends, the madd FC GEMM streams each weight row once for the
+  // whole batch, and every request's outputs demux back out. Requantization
   // (shift choice included) is per request, so outputs are byte-identical
   // to N solo runs — pinned by tests/test_batch_properties.cpp and the
   // serving stress tests, not assumed. On the scalar oracle a batch is
   // executed as N solo runs (summed cycles, chunk-weighted mean streamed
-  // precision), which is the batching semantics oracle. FC grid cycles stay per-image (batch = N x solo): the
-  // cascade model has no batch dimension; the lane packing is a software
-  // throughput win.
+  // precision), which is the batching semantics oracle. FC grid cycles stay
+  // per-image (batch = N x solo): the cascade model has no batch dimension;
+  // the shared weight stream is a software throughput win.
 
   [[nodiscard]] FunctionalBatchLayerRun run_conv_batch(
       const nn::Layer& layer, std::span<const nn::Tensor> inputs,
@@ -165,13 +165,9 @@ class FunctionalLoomEngine {
     return dispatcher_;
   }
   [[nodiscard]] const FunctionalOptions& options() const noexcept { return opts_; }
-  /// True when layers run on a word-parallel fast path (false = scalar
-  /// oracle, via force_scalar / LOOM_FUNCTIONAL_SCALAR / unpackable cols).
-  [[nodiscard]] bool bitsliced() const noexcept {
-    return layers_.resolved() != "scalar";
-  }
-  /// The resolved kernel selection: "scalar", "auto" (per-layer autotuned),
-  /// or a concrete registered backend name.
+  /// The resolved kernel selection: "scalar" (force_scalar /
+  /// LOOM_FUNCTIONAL_SCALAR / a grid outside the fast envelope), "auto"
+  /// (per-layer autotuned), or a concrete registered backend name.
   [[nodiscard]] const std::string& backend_name() const noexcept {
     return layers_.resolved();
   }

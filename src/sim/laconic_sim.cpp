@@ -5,8 +5,8 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "sim/bitslice_engine.hpp"
 #include "sim/loom_sim.hpp"
+#include "sim/madd_engine.hpp"
 #include "sim/or_planes.hpp"
 
 namespace loom::sim {
@@ -300,20 +300,20 @@ LaconicFunctionalRun run_laconic_conv(const nn::Layer& layer,
   LaconicFunctionalRun run;
   run.wide = nn::WideTensor(nn::Shape{layer.out.c, layer.out.h, layer.out.w});
 
-  // Exact values ride the bit-sliced engine (same dispatcher semantics as
-  // the scalar grid, byte-identical to nn::conv_forward).
-  BitsliceEngine::Options eng_opts;
-  eng_opts.rows = opts.rows;
-  eng_opts.cols = opts.cols;
-  eng_opts.lanes = opts.lanes;
-  eng_opts.jobs = opts.jobs;
-  LOOM_EXPECTS(BitsliceEngine::supports(eng_opts));
-  BitsliceEngine engine(eng_opts);
-  BitsliceEngine::SliceSpec spec;
-  spec.act_precision = layer.act_precision;
-  spec.weight_precision = layer.weight_precision;
-  spec.dynamic = true;
-  (void)engine.run_conv(layer, input, weights, spec, run.wide);
+  // Exact values ride the multiply-add engine (byte-identical to
+  // nn::conv_forward). Its modelled Loom stats are discarded, so a static
+  // spec keeps them a closed form; the accumulators do not depend on it.
+  MaddEngine engine({.rows = opts.rows,
+                     .cols = opts.cols,
+                     .lanes = opts.lanes,
+                     .jobs = opts.jobs});
+  const nn::Tensor* const in_ptr = &input;
+  nn::WideTensor* const wide_ptr = &run.wide;
+  (void)engine.run_conv_batch(
+      layer, {&in_ptr, 1}, weights,
+      {.act_precision = layer.act_precision,
+       .weight_precision = layer.weight_precision},
+      {&wide_ptr, 1});
 
   // Data-driven term-serial cycles over the actual tensors. Activation term
   // counts come from the same OR planes the detector uses; weight terms are

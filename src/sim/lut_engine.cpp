@@ -18,9 +18,9 @@ namespace loom::sim {
 
 namespace {
 
-/// Inner-product length bound shared with the bit-sliced engine: each
-/// 8-activation group contributes |partial| <= 8 * 2^16 * 2^15 < 2^34, so
-/// inner < 2^28 keeps every int64 accumulator exact (< 2^59).
+/// Inner-product length bound: each 8-activation group contributes
+/// |partial| <= 8 * 2^16 * 2^15 < 2^34, so inner < 2^28 keeps every int64
+/// accumulator exact (< 2^59).
 constexpr std::int64_t kMaxInner = std::int64_t{1} << 28;
 
 /// Groups whose detected activation magnitude needs <= 12 unsigned bits
@@ -781,7 +781,7 @@ void LutEngine::conv_slab(const nn::Layer& layer,
   }
 }
 
-LutEngine::ConvStats LutEngine::run_conv_batch(
+ConvStats LutEngine::run_conv_batch(
     const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
     const nn::Tensor& weights, const SliceSpec& spec,
     std::span<nn::WideTensor* const> wides) {

@@ -13,8 +13,8 @@
 //  => sum_j a_j w_j = sum_{b<Pw-1} lut[slice_b] << b  -  lut[slice_{Pw-1}] << (Pw-1)
 //
 // so the hot loop is Pw table lookups per (output, group) — zero multiplies,
-// and the cost is *independent of the activation precision* (the bit-sliced
-// engine's cost grows with every streamed activation plane). Table lookups
+// and the cost is *independent of the activation precision* (a bit-serial
+// kernel's cost grows with every streamed activation plane). Table lookups
 // pay off at very low Pw; at the paper's profiles (conv Pw 11-12, FC Pw
 // 9-10) the bit-parallel `madd` kernel (sim/madd_engine.hpp) beats it on
 // every AlexNet layer, and the autotuner picks per cell by measurement.
@@ -27,7 +27,7 @@
 //     loop touches.
 //
 // Contract: byte-identical exact accumulators AND byte-identical ConvStats
-// to BitsliceEngine / the scalar oracle. The stats come from the shared
+// to the scalar oracle. The stats come from the shared
 // conv-stats pass (sim/conv_stats.hpp), which sums integers and converts
 // streamed_pa to double once, so no summation order is involved.
 #pragma once
@@ -40,7 +40,7 @@
 #include "common/cpuid.hpp"
 #include "nn/layer.hpp"
 #include "nn/tensor.hpp"
-#include "sim/bitslice_engine.hpp"
+#include "sim/conv_stats.hpp"
 
 namespace loom::sim {
 
@@ -111,11 +111,8 @@ class LutEngine {
   /// time (tile working set = 64 * 256 entries, sized for L1).
   static constexpr std::int64_t kGroupTile = 64;
 
-  using SliceSpec = BitsliceEngine::SliceSpec;
-  using ConvStats = BitsliceEngine::ConvStats;
-
-  /// Same packing envelope as the bit-sliced engine (the stats contract
-  /// needs cols <= 64 slabs and lanes <= 32 chunks).
+  /// The grid envelope every fast backend accepts (cols <= 64 slabs,
+  /// lanes <= 32 chunks).
   [[nodiscard]] static bool supports(const Options& opts) noexcept {
     return opts.cols >= 1 && opts.cols <= 64 && opts.lanes >= 1 &&
            opts.lanes <= 32 && opts.rows >= 1;
@@ -123,10 +120,10 @@ class LutEngine {
 
   explicit LutEngine(Options opts);
 
-  /// Batched convolution, same window-concatenation semantics and stats as
-  /// BitsliceEngine::run_conv_batch. Accumulators land in wides[r]
-  /// (preallocated, one per input). Weight rows pack once per call,
-  /// striped over the shared pool.
+  /// Batched convolution: the window axes of all requests concatenate into
+  /// one column-group range (sim/conv_stats.hpp). Accumulators land in
+  /// wides[r] (preallocated, one per input). Weight rows pack once per
+  /// call, striped over the shared pool.
   ConvStats run_conv_batch(const nn::Layer& layer,
                            std::span<const nn::Tensor* const> inputs,
                            const nn::Tensor& weights, const SliceSpec& spec,
@@ -141,8 +138,8 @@ class LutEngine {
               nn::WideTensor& wide);
 
   /// Batched FC: per-request runs (each already amortizes its tables over
-  /// all output neurons; the bit-sliced engine's request-packed layout is
-  /// the better batch kernel, and the autotuner keys on batch size).
+  /// all output neurons; `madd` streams each weight row once per batch and
+  /// is the better batch kernel, and the autotuner keys on batch size).
   void run_fc_batch(const nn::Layer& layer,
                     std::span<const nn::Tensor* const> inputs,
                     const nn::Tensor& weights, int weight_precision,

@@ -443,7 +443,7 @@ MaddEngine::MaddEngine(Options opts)
   LOOM_EXPECTS(opts.rows >= 1 && opts.cols >= 1 && opts.lanes >= 1);
 }
 
-MaddEngine::ConvStats MaddEngine::run_conv_batch(
+ConvStats MaddEngine::run_conv_batch(
     const nn::Layer& layer, std::span<const nn::Tensor* const> inputs,
     const nn::Tensor& weights, const SliceSpec& spec,
     std::span<nn::WideTensor* const> wides) {

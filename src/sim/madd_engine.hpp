@@ -44,7 +44,7 @@
 #include "common/cpuid.hpp"
 #include "nn/layer.hpp"
 #include "nn/tensor.hpp"
-#include "sim/bitslice_engine.hpp"
+#include "sim/conv_stats.hpp"
 
 namespace loom::sim {
 
@@ -99,14 +99,12 @@ class MaddEngine {
     int jobs = 1;    ///< tile fan-out over the shared pool; 0 = all
   };
 
-  using SliceSpec = BitsliceEngine::SliceSpec;
-  using ConvStats = BitsliceEngine::ConvStats;
-
   explicit MaddEngine(Options opts);
 
-  /// Batched convolution with the window-concatenation semantics and stats
-  /// of BitsliceEngine::run_conv_batch. Accumulators land in wides[r]
-  /// (preallocated, one per input).
+  /// Batched convolution: the window axes of all requests concatenate into
+  /// one column-group range, and the stats are conv_stream_stats of the
+  /// whole batch. Accumulators land in wides[r] (preallocated, one per
+  /// input).
   ConvStats run_conv_batch(const nn::Layer& layer,
                            std::span<const nn::Tensor* const> inputs,
                            const nn::Tensor& weights, const SliceSpec& spec,

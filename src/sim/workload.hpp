@@ -124,7 +124,7 @@ class LayerWorkload {
 
   /// Weight-side NAF term statistics for the term-serial (Laconic-style)
   /// cycle model, measured by streaming the calibrated weight source once.
-  /// NAF is what the hardware (and the bit-sliced functional engine)
+  /// NAF is what the hardware (and the functional Laconic run)
   /// actually serializes — signed ±2^k digits, no separate sign pass —
   /// unlike essential_weight_planes' sign-magnitude planes.
   struct WeightTermStats {
@@ -156,10 +156,10 @@ class LayerWorkload {
   /// weights occupy in storage, so it is what the memory core prices when
   /// LoomConfig::sparse_weight_skipping packs the WM/DRAM footprint (and
   /// what that flag's Loom timing estimate uses). The *compute* term counts
-  /// of the term-serial simulator and the bit-sliced engine instead follow
-  /// the NAF digit serialization (naf_weight_terms) — fewer terms than
-  /// essential planes, since NAF folds the sign pass into signed digits and
-  /// needs no digit at runs of adjacent ones. test_laconic_sim.cpp pins
+  /// of the term-serial simulator and the functional Laconic run instead
+  /// follow the NAF digit serialization (naf_weight_terms) — fewer terms
+  /// than essential planes, since NAF folds the sign pass into signed digits
+  /// and needs no digit at runs of adjacent ones. test_laconic_sim.cpp pins
   /// both counts on a known tensor.
   [[nodiscard]] double essential_weight_planes();
 

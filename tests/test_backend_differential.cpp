@@ -6,11 +6,11 @@
 // registering, not by writing a new test file: the sweeps below enumerate
 // BackendRegistry and skip nothing that claims to support the grid.
 //
-// Stats are part of the contract: every word-parallel backend must report
-// the same ConvStats as the bit-sliced engine for the same batched run
-// (the scalar oracle joins that comparison at batch == 1; for larger
-// batches its N-solo chunk structure legitimately differs from the
-// concatenated-window accounting).
+// Stats are part of the contract: every fast backend must report the same
+// ConvStats for the same batched run (the scalar oracle joins that
+// comparison at batch == 1; for larger batches its N-solo chunk structure
+// legitimately differs from the concatenated-window accounting, which
+// tests/test_madd_engine.cpp pins against the oracle on stacked inputs).
 //
 // Failures print the iteration seed: rerun with
 //   LOOM_BACKEND_PROP_SEED=<seed> ./test_backend_differential
@@ -158,8 +158,7 @@ std::vector<nn::WideTensor> make_wides(const nn::Shape& shape, std::size_t n) {
   return w;
 }
 
-void expect_stats_eq(const BitsliceEngine::ConvStats& a,
-                     const BitsliceEngine::ConvStats& b) {
+void expect_stats_eq(const ConvStats& a, const ConvStats& b) {
   EXPECT_EQ(a.cycles, b.cycles);
   EXPECT_EQ(a.chunks, b.chunks);
   // streamed_pa is a sum of integers < 2^53, so the double is exact and
@@ -179,7 +178,7 @@ TEST(BackendDifferential, ConvAllRegisteredBackendsByteIdentical) {
     SCOPED_TRACE("LOOM_BACKEND_PROP_SEED=" + std::to_string(seed));
     const Case c = random_conv_case(seed);
     const BackendContext ctx = random_ctx(seed);
-    const BitsliceEngine::SliceSpec spec{
+    const SliceSpec spec{
         .act_precision = c.layer.act_precision,
         .weight_precision = c.layer.weight_precision,
         .act_signed = false,
@@ -193,7 +192,7 @@ TEST(BackendDifferential, ConvAllRegisteredBackendsByteIdentical) {
     ASSERT_NE(scalar_info, nullptr);
     auto scalar = scalar_info->make(ctx);
     std::vector<nn::WideTensor> oracle = make_wides(wide_shape, batch);
-    std::vector<BitsliceEngine::ConvStats> oracle_stats;
+    std::vector<ConvStats> oracle_stats;
     for (std::size_t r = 0; r < batch; ++r) {
       const nn::Tensor* in = &c.inputs[r];
       nn::WideTensor* out = &oracle[r];
@@ -205,7 +204,7 @@ TEST(BackendDifferential, ConvAllRegisteredBackendsByteIdentical) {
     }
 
     bool have_parallel_stats = false;
-    BitsliceEngine::ConvStats parallel_stats;
+    ConvStats parallel_stats;
     for (const std::string& name : reg.names()) {
       SCOPED_TRACE("backend " + name);
       const BackendInfo* info = reg.find(name);
@@ -220,14 +219,14 @@ TEST(BackendDifferential, ConvAllRegisteredBackendsByteIdentical) {
         in_ptrs.push_back(&c.inputs[r]);
         wide_ptrs.push_back(&wides[r]);
       }
-      const BitsliceEngine::ConvStats st =
+      const ConvStats st =
           backend->run_conv_batch(c.layer, in_ptrs, c.weights, spec, wide_ptrs);
       for (std::size_t r = 0; r < batch; ++r) {
         EXPECT_EQ(wides[r], oracle[r]) << "request " << r;
       }
       if (name == "scalar") {
         // The scalar backend's own batch is N solo runs by definition.
-        BitsliceEngine::ConvStats sum;
+        ConvStats sum;
         for (const auto& s : oracle_stats) {
           sum.cycles += s.cycles;
           sum.chunks += s.chunks;
@@ -240,7 +239,7 @@ TEST(BackendDifferential, ConvAllRegisteredBackendsByteIdentical) {
         expect_stats_eq(st, sum);
         continue;
       }
-      // Word-parallel backends share the concatenated-window accounting:
+      // Fast backends share the concatenated-window accounting:
       // all must agree with each other, and with the scalar oracle whenever
       // the batch is a single request (same chunk structure).
       if (!have_parallel_stats) {
@@ -251,7 +250,7 @@ TEST(BackendDifferential, ConvAllRegisteredBackendsByteIdentical) {
       }
       if (batch == 1) expect_stats_eq(st, oracle_stats[0]);
     }
-    EXPECT_TRUE(have_parallel_stats);  // bitslice at minimum supports 1..20 cols
+    EXPECT_TRUE(have_parallel_stats);  // madd and lut accept 1..20 cols
   }
 }
 
@@ -436,9 +435,9 @@ TEST(BackendRegistryTest, RegisteredBackendJoinsSweepAndResolution) {
                       .cols = c.cols,
                       .lanes = c.lanes,
                       .jobs = c.jobs}) {}
-          BitsliceEngine::ConvStats run_conv_batch(
+          ConvStats run_conv_batch(
               const nn::Layer& l, std::span<const nn::Tensor* const> in,
-              const nn::Tensor& w, const BitsliceEngine::SliceSpec& s,
+              const nn::Tensor& w, const SliceSpec& s,
               std::span<nn::WideTensor* const> out) override {
             return eng_.run_conv_batch(l, in, w, s, out);
           }
@@ -469,7 +468,6 @@ TEST(BackendRegistryTest, RegisteredBackendJoinsSweepAndResolution) {
   const Case c = random_conv_case(0x3A3A);
   FunctionalLoomEngine eng(
       FunctionalOptions{.jobs = 1, .backend = "mirror-lut"});
-  EXPECT_TRUE(eng.bitsliced());
   EXPECT_EQ(eng.backend_name(), "mirror-lut");
   const FunctionalLayerRun run =
       eng.run_conv(c.layer, c.inputs[0], c.weights, kBasePrecision);
@@ -482,19 +480,19 @@ TEST(BackendRegistryTest, RegisteredBackendJoinsSweepAndResolution) {
 TEST(BackendResolution, PrecedenceAndFallbacks) {
   const BackendContext ok;                    // 16x16x16: everything packs
   BackendContext wide = ok;
-  wide.cols = 80;                             // nothing word-parallel packs
+  wide.cols = 80;                             // outside the fast envelope
   BackendContext deep = ok;
   deep.lanes = 40;                            // same, via the lane bound
 
   // force_scalar beats everything, explicit names included.
   EXPECT_EQ(resolve_backend_name("lut", true, ok), "scalar");
   // Explicit registered names resolve to themselves on a packable grid...
-  EXPECT_EQ(resolve_backend_name("bitslice", false, ok), "bitslice");
+  EXPECT_EQ(resolve_backend_name("madd", false, ok), "madd");
   EXPECT_EQ(resolve_backend_name("lut", false, ok), "lut");
   EXPECT_EQ(resolve_backend_name("scalar", false, ok), "scalar");
   // ...and fall back to the scalar oracle on an unpackable one (the
   // historical cols>64 behavior).
-  EXPECT_EQ(resolve_backend_name("bitslice", false, wide), "scalar");
+  EXPECT_EQ(resolve_backend_name("madd", false, wide), "scalar");
   EXPECT_EQ(resolve_backend_name("lut", false, wide), "scalar");
   // "" defers to the environment, then "auto"; "auto" with no viable
   // candidate is the scalar oracle.
@@ -508,13 +506,12 @@ TEST(BackendResolution, PrecedenceAndFallbacks) {
   // LOOM_FUNCTIONAL_BACKEND fills an empty request only.
   ASSERT_EQ(setenv("LOOM_FUNCTIONAL_BACKEND", "lut", 1), 0);
   EXPECT_EQ(resolve_backend_name("", false, ok), "lut");
-  EXPECT_EQ(resolve_backend_name("bitslice", false, ok), "bitslice");
+  EXPECT_EQ(resolve_backend_name("madd", false, ok), "madd");
   ASSERT_EQ(unsetenv("LOOM_FUNCTIONAL_BACKEND"), 0);
 
   // Engine-level: the resolved name is observable, and unknown names throw
   // at construction.
   FunctionalLoomEngine lut_eng(FunctionalOptions{.jobs = 1, .backend = "lut"});
-  EXPECT_TRUE(lut_eng.bitsliced());
   EXPECT_EQ(lut_eng.backend_name(), "lut");
   FunctionalLoomEngine auto_eng(FunctionalOptions{.jobs = 1});
   EXPECT_EQ(auto_eng.backend_name(), "auto");

@@ -1,8 +1,8 @@
 // Randomized property tests for batched (multi-request) execution: random
-// layer geometries, batch sizes 1-9 (crossing the FC request-packing
-// threshold), Pa/Pw in 1..16, pad/stride/groups/lane-tail cases. Every
-// iteration cross-checks three independent implementations —
-//   * the batched bit-sliced engine,
+// layer geometries, batch sizes 1-9, Pa/Pw in 1..16,
+// pad/stride/groups/lane-tail cases. Every iteration cross-checks three
+// independent implementations —
+//   * the batched fast kernels (whichever "auto" runs),
 //   * the scalar arch::Sip/IpUnit oracle run one request at a time, and
 //   * the nn::reference bit-parallel golden model —
 // plus deterministic coverage for the cols>64 auto-fallback and the
@@ -142,7 +142,7 @@ std::vector<std::uint64_t> iteration_seeds(std::uint64_t base, int count) {
   return seeds;
 }
 
-// ---- Conv: batched bit-sliced vs scalar oracle vs reference ---------------
+// ---- Conv: batched fast kernels vs scalar oracle vs reference ------------
 
 TEST(BatchProperties, ConvBatchedMatchesScalarOracleAndReference) {
   for (const std::uint64_t seed : iteration_seeds(0xC0111D, 40)) {
@@ -150,15 +150,15 @@ TEST(BatchProperties, ConvBatchedMatchesScalarOracleAndReference) {
     const Case c = random_conv_case(seed);
     const FunctionalOptions opts = random_grid(seed);
 
-    FunctionalLoomEngine sliced(opts);
-    ASSERT_TRUE(sliced.bitsliced());
+    FunctionalLoomEngine fast(opts);
+    ASSERT_NE(fast.backend_name(), "scalar");
     const FunctionalBatchLayerRun batched =
-        sliced.run_conv_batch(c.layer, c.inputs, c.weights, kBasePrecision);
+        fast.run_conv_batch(c.layer, c.inputs, c.weights, kBasePrecision);
 
     FunctionalOptions scalar_opts = opts;
     scalar_opts.force_scalar = true;
     FunctionalLoomEngine scalar(scalar_opts);
-    ASSERT_FALSE(scalar.bitsliced());
+    ASSERT_EQ(scalar.backend_name(), "scalar");
 
     for (std::size_t r = 0; r < c.inputs.size(); ++r) {
       SCOPED_TRACE("request " + std::to_string(r));
@@ -184,10 +184,10 @@ TEST(BatchProperties, FcBatchedMatchesScalarOracleAndReference) {
     const Case c = random_fc_case(seed);
     const FunctionalOptions opts = random_grid(seed);
 
-    FunctionalLoomEngine sliced(opts);
-    ASSERT_TRUE(sliced.bitsliced());
+    FunctionalLoomEngine fast(opts);
+    ASSERT_NE(fast.backend_name(), "scalar");
     const FunctionalBatchLayerRun batched =
-        sliced.run_fc_batch(c.layer, c.inputs, c.weights, kBasePrecision);
+        fast.run_fc_batch(c.layer, c.inputs, c.weights, kBasePrecision);
 
     FunctionalOptions scalar_opts = opts;
     scalar_opts.force_scalar = true;
@@ -219,7 +219,7 @@ TEST(BatchProperties, ScalarBatchIsSumOfSoloRuns) {
     FunctionalOptions opts = random_grid(seed);
     opts.force_scalar = true;
     FunctionalLoomEngine eng(opts);
-    ASSERT_FALSE(eng.bitsliced());
+    ASSERT_EQ(eng.backend_name(), "scalar");
 
     const FunctionalBatchLayerRun conv =
         eng.run_conv_batch(c.layer, c.inputs, c.weights, kBasePrecision);
@@ -259,9 +259,8 @@ TEST(BatchProperties, ScalarBatchIsSumOfSoloRuns) {
   }
 }
 
-// Deterministic lane-fill coverage: batches of 8..9 requests always take the
-// request-packed FC path (the <8 fallback is covered by the random sizes
-// above); this pins the packed layout against the solo engine directly.
+// Deterministic large-batch coverage: batches of 8..9 requests through the
+// batched FC path, pinned against the solo engine directly.
 TEST(BatchProperties, FcPackedPathMatchesSoloBitsliced) {
   for (const std::uint64_t seed : iteration_seeds(0xFCAA, 10)) {
     SCOPED_TRACE("LOOM_BATCH_PROP_SEED=" + std::to_string(seed));
@@ -273,7 +272,7 @@ TEST(BatchProperties, FcPackedPathMatchesSoloBitsliced) {
           /*is_signed=*/true, rng, 300 + c.inputs.size(), 0.1));
     }
     FunctionalLoomEngine eng(FunctionalOptions{.jobs = 1});
-    ASSERT_TRUE(eng.bitsliced());
+    ASSERT_NE(eng.backend_name(), "scalar");
     const FunctionalBatchLayerRun batched =
         eng.run_fc_batch(c.layer, c.inputs, c.weights, kBasePrecision);
     for (std::size_t r = 0; r < c.inputs.size(); ++r) {
@@ -324,7 +323,7 @@ TEST(BatchProperties, DpnnConvAndFcBatchedMatchSolo) {
 TEST(BatchFallback, ColsAbove64FallsBackToScalarForBatches) {
   const Case c = random_conv_case(0xFA11);
   FunctionalLoomEngine wide_grid(FunctionalOptions{.cols = 80, .jobs = 1});
-  EXPECT_FALSE(wide_grid.bitsliced());  // unpackable: auto-fallback
+  EXPECT_EQ(wide_grid.backend_name(), "scalar");  // auto-fallback
   const FunctionalBatchLayerRun batched =
       wide_grid.run_conv_batch(c.layer, c.inputs, c.weights, kBasePrecision);
   for (std::size_t r = 0; r < c.inputs.size(); ++r) {

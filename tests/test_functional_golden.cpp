@@ -1,12 +1,17 @@
-// Bit-sliced functional engine: byte-identity with the scalar arch::Sip
-// oracle across awkward geometries and precisions, golden FNV digests
-// captured on pre-change main, the 64x64 transpose primitive, thread-count
-// invariance, and the cascade-aware FC cycle model shared with the
-// analytic simulator.
+// Functional engines on every tunable backend, each selected by name:
+// byte-identity with the scalar arch::Sip oracle across awkward geometries
+// and precisions, golden FNV digests captured before the first fast kernel
+// landed, thread-count invariance, the scalar fallback for grids outside
+// the fast envelope, and the cascade-aware FC cycle model shared with the
+// analytic simulator. Backends are named explicitly rather than reached
+// through "auto", whose choice depends on process-wide tuner state.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "golden.hpp"
-#include "sim/bitslice_engine.hpp"
+#include "sim/backend.hpp"
 #include "sim/dpnn_functional.hpp"
 #include "sim/functional.hpp"
 #include "sim/loom_sim.hpp"
@@ -16,6 +21,19 @@ namespace loom::sim {
 namespace {
 
 using golden::Fnv;
+
+/// The tunable backends that accept `ctx`, in registration order: every
+/// case below runs once per name.
+std::vector<std::string> tunables(const BackendContext& ctx = {.jobs = 1}) {
+  return BackendRegistry::instance().tunable_names(ctx);
+}
+
+/// `opts` with its kernel selected by name ("scalar" = the oracle).
+template <typename Options>
+Options on(Options opts, const std::string& backend) {
+  opts.backend = backend;
+  return opts;
+}
 
 struct TestNet {
   nn::Network net;
@@ -27,7 +45,7 @@ struct TestNet {
 // a multiple of the column count, grouped conv, stride 2 + heavy padding,
 // 1x1 kernel, pooling between convs, and an FC tail.
 TestNet make_golden_net() {
-  nn::Network net("bitslice-golden", nn::Shape3{5, 13, 13});
+  nn::Network net("functional-golden", nn::Shape3{5, 13, 13});
   net.add_conv("c1", 14, 3, 1, 1).precision_group = 0;
   net.add_conv("g1", 10, 3, 1, 1, /*groups=*/2).precision_group = 1;
   net.add_pool("p1", nn::PoolKind::kMax, 2, 2);
@@ -35,7 +53,7 @@ TestNet make_golden_net() {
   net.add_conv("k1", 9, 1, 1, 0).precision_group = 3;
   net.add_fc("f1", 17);
   quant::PrecisionProfile p;
-  p.network = "bitslice-golden";
+  p.network = "functional-golden";
   p.conv_act = {7, 6, 8, 5};
   p.conv_weight = 9;
   p.fc_weight = {8};
@@ -55,8 +73,8 @@ TestNet make_golden_net() {
 }
 
 // Digest of a functional network run. FC-layer cycle counts are excluded:
-// the functional FC cycle model became cascade-aware in the bit-slice PR
-// and is pinned against the analytic model below instead.
+// the functional FC cycle model became cascade-aware after the digests were
+// captured, and is pinned against the analytic model below instead.
 std::uint64_t digest(const TestNet& s, const FunctionalNetworkRun& run,
                      const arch::Dispatcher& disp) {
   Fnv f;
@@ -80,58 +98,63 @@ std::uint64_t digest(const TestNet& s, const FunctionalNetworkRun& run,
   return f.h;
 }
 
-// ---- Golden byte-identity vs pre-bit-slice main ---------------------------
-// FNV-1a digests captured on main immediately before the bit-sliced engine
-// landed, running the then-scalar functional engine on the net above. Both
-// backends must reproduce them bit for bit: outputs, wide accumulators,
+// ---- Golden byte-identity vs the pre-fast-kernel engine -------------------
+// FNV-1a digests captured immediately before the first word-parallel kernel
+// landed, running the then-scalar functional engine on the net above. Every
+// backend must reproduce them bit for bit: outputs, wide accumulators,
 // requant shifts, conv cycle counts, streamed-precision means, and the
-// dispatcher/detector statistics.
+// dispatcher/detector statistics. (The suite names predate the rename of
+// this file and are kept so the test ids stay stable.)
 
 constexpr std::uint64_t kGoldenDyn = 0x2fb41436f3890f37ull;
 constexpr std::uint64_t kGoldenStatic = 0x52ca7ea52eaee0f7ull;
 
 TEST(BitsliceGolden, DynamicRunMatchesPreChangeMain) {
-  TestNet s = make_golden_net();
-  FunctionalLoomEngine eng(FunctionalOptions{.rows = 8, .cols = 16});
-  ASSERT_TRUE(eng.bitsliced());
-  const auto run = eng.run_network(s.net, s.input, s.weights);
-  EXPECT_EQ(digest(s, run, eng.dispatcher()), kGoldenDyn);
+  for (const std::string& backend : tunables()) {
+    SCOPED_TRACE(backend);
+    TestNet s = make_golden_net();
+    FunctionalLoomEngine eng(
+        FunctionalOptions{.rows = 8, .cols = 16, .backend = backend});
+    ASSERT_EQ(eng.backend_name(), backend);
+    const auto run = eng.run_network(s.net, s.input, s.weights);
+    EXPECT_EQ(digest(s, run, eng.dispatcher()), kGoldenDyn);
+  }
 }
 
 TEST(BitsliceGolden, DynamicRunScalarOracleMatchesPreChangeMain) {
   TestNet s = make_golden_net();
   FunctionalLoomEngine eng(
       FunctionalOptions{.rows = 8, .cols = 16, .force_scalar = true});
-  ASSERT_FALSE(eng.bitsliced());
+  ASSERT_EQ(eng.backend_name(), "scalar");
   const auto run = eng.run_network(s.net, s.input, s.weights);
   EXPECT_EQ(digest(s, run, eng.dispatcher()), kGoldenDyn);
 }
 
 TEST(BitsliceGolden, StaticRunMatchesPreChangeMainBothBackends) {
-  for (const bool scalar : {false, true}) {
+  std::vector<std::string> backends = tunables();
+  backends.push_back("scalar");
+  for (const std::string& backend : backends) {
+    SCOPED_TRACE(backend);
     TestNet s = make_golden_net();
     FunctionalLoomEngine eng(FunctionalOptions{.rows = 16,
                                                .cols = 8,
                                                .dynamic_act_precision = false,
-                                               .force_scalar = scalar});
+                                               .backend = backend});
+    ASSERT_EQ(eng.backend_name(), backend);
     const auto run = eng.run_network(s.net, s.input, s.weights);
-    EXPECT_EQ(digest(s, run, eng.dispatcher()), kGoldenStatic) << scalar;
+    EXPECT_EQ(digest(s, run, eng.dispatcher()), kGoldenStatic);
   }
 }
 
 TEST(BitsliceGolden, JobsCountDoesNotChangeResults) {
-  std::uint64_t reference = 0;
-  for (const int jobs : {1, 3, 0}) {
-    TestNet s = make_golden_net();
-    FunctionalLoomEngine eng(
-        FunctionalOptions{.rows = 8, .cols = 16, .jobs = jobs});
-    const auto run = eng.run_network(s.net, s.input, s.weights);
-    const std::uint64_t d = digest(s, run, eng.dispatcher());
-    if (jobs == 1) {
-      reference = d;
-      EXPECT_EQ(d, kGoldenDyn);
-    } else {
-      EXPECT_EQ(d, reference) << jobs;
+  for (const std::string& backend : tunables()) {
+    for (const int jobs : {1, 3, 0}) {
+      SCOPED_TRACE(backend + " jobs=" + std::to_string(jobs));
+      TestNet s = make_golden_net();
+      FunctionalLoomEngine eng(FunctionalOptions{
+          .rows = 8, .cols = 16, .jobs = jobs, .backend = backend});
+      const auto run = eng.run_network(s.net, s.input, s.weights);
+      EXPECT_EQ(digest(s, run, eng.dispatcher()), kGoldenDyn);
     }
   }
 }
@@ -164,46 +187,51 @@ void expect_conv_equivalent(const ConvCase& c) {
   const nn::Tensor weights =
       nn::make_weight_tensor(layer.weight_count(), wsp, 6, 2);
 
-  FunctionalOptions fo{.rows = c.rows, .cols = c.cols, .lanes = c.lanes,
-                       .dynamic_act_precision = c.dynamic, .jobs = 1};
-  FunctionalLoomEngine fast(fo);
-  fo.force_scalar = true;
-  FunctionalLoomEngine slow(fo);
-  ASSERT_TRUE(fast.bitsliced()) << c.name;
-  const auto rf = fast.run_conv(layer, input, weights, 16);
+  const FunctionalOptions fo{.rows = c.rows, .cols = c.cols, .lanes = c.lanes,
+                             .dynamic_act_precision = c.dynamic, .jobs = 1};
+  FunctionalLoomEngine slow(on(fo, "scalar"));
   const auto rs = slow.run_conv(layer, input, weights, 16);
+  const std::vector<std::string> backends =
+      tunables({.rows = c.rows, .cols = c.cols, .lanes = c.lanes, .jobs = 1});
+  ASSERT_FALSE(backends.empty()) << c.name;
+  for (const std::string& backend : backends) {
+    SCOPED_TRACE(backend);
+    FunctionalLoomEngine fast(on(fo, backend));
+    ASSERT_EQ(fast.backend_name(), backend) << c.name;
+    const auto rf = fast.run_conv(layer, input, weights, 16);
 
-  EXPECT_EQ(rf.cycles, rs.cycles) << c.name;
-  EXPECT_EQ(rf.requant_shift, rs.requant_shift) << c.name;
-  EXPECT_DOUBLE_EQ(rf.mean_streamed_precision, rs.mean_streamed_precision)
-      << c.name;
-  ASSERT_EQ(rf.wide.elements(), rs.wide.elements()) << c.name;
-  for (std::int64_t i = 0; i < rs.wide.elements(); ++i) {
-    ASSERT_EQ(rf.wide.flat(i), rs.wide.flat(i)) << c.name << " @" << i;
-  }
-  for (std::int64_t i = 0; i < rs.output.elements(); ++i) {
-    ASSERT_EQ(rf.output.flat(i), rs.output.flat(i)) << c.name << " @" << i;
-  }
-  EXPECT_EQ(fast.dispatcher().activation_bits_streamed(),
-            slow.dispatcher().activation_bits_streamed())
-      << c.name;
-  EXPECT_EQ(fast.dispatcher().weight_bits_streamed(),
-            slow.dispatcher().weight_bits_streamed())
-      << c.name;
-  EXPECT_EQ(fast.dispatcher().detector().invocations(),
-            slow.dispatcher().detector().invocations())
-      << c.name;
-  EXPECT_EQ(fast.dispatcher().detector().values_inspected(),
-            slow.dispatcher().detector().values_inspected())
-      << c.name;
+    EXPECT_EQ(rf.cycles, rs.cycles) << c.name;
+    EXPECT_EQ(rf.requant_shift, rs.requant_shift) << c.name;
+    EXPECT_DOUBLE_EQ(rf.mean_streamed_precision, rs.mean_streamed_precision)
+        << c.name;
+    ASSERT_EQ(rf.wide.elements(), rs.wide.elements()) << c.name;
+    for (std::int64_t i = 0; i < rs.wide.elements(); ++i) {
+      ASSERT_EQ(rf.wide.flat(i), rs.wide.flat(i)) << c.name << " @" << i;
+    }
+    for (std::int64_t i = 0; i < rs.output.elements(); ++i) {
+      ASSERT_EQ(rf.output.flat(i), rs.output.flat(i)) << c.name << " @" << i;
+    }
+    EXPECT_EQ(fast.dispatcher().activation_bits_streamed(),
+              slow.dispatcher().activation_bits_streamed())
+        << c.name;
+    EXPECT_EQ(fast.dispatcher().weight_bits_streamed(),
+              slow.dispatcher().weight_bits_streamed())
+        << c.name;
+    EXPECT_EQ(fast.dispatcher().detector().invocations(),
+              slow.dispatcher().detector().invocations())
+        << c.name;
+    EXPECT_EQ(fast.dispatcher().detector().values_inspected(),
+              slow.dispatcher().detector().values_inspected())
+        << c.name;
 
-  // Against the golden model when no truncation can occur (the generators
-  // can emit values the streamed precision clips, e.g. +1 at Pw = 1).
-  if (input.max_precision_unsigned() <= c.pa &&
-      weights.max_precision_signed() <= c.pw) {
-    const nn::WideTensor golden = nn::conv_forward(input, weights, layer);
-    for (std::int64_t i = 0; i < golden.elements(); ++i) {
-      ASSERT_EQ(rf.wide.flat(i), golden.flat(i)) << c.name << " golden @" << i;
+    // Against the golden model when no truncation can occur (the generators
+    // can emit values the streamed precision clips, e.g. +1 at Pw = 1).
+    if (input.max_precision_unsigned() <= c.pa &&
+        weights.max_precision_signed() <= c.pw) {
+      const nn::WideTensor golden = nn::conv_forward(input, weights, layer);
+      for (std::int64_t i = 0; i < golden.elements(); ++i) {
+        ASSERT_EQ(rf.wide.flat(i), golden.flat(i)) << c.name << " golden @" << i;
+      }
     }
   }
 }
@@ -250,18 +278,20 @@ TEST(BitsliceEquivalence, OutOfProfileActivationsDetectLikeTheDispatcher) {
   const nn::Tensor weights =
       nn::make_weight_tensor(net.layer(0).weight_count(), wsp, 32, 2);
 
-  FunctionalOptions fo{.rows = 4, .cols = 16, .jobs = 1};
-  FunctionalLoomEngine fast(fo);
-  fo.force_scalar = true;
-  FunctionalLoomEngine slow(fo);
-  const auto rf = fast.run_conv(net.layer(0), input, weights, 16);
+  const FunctionalOptions fo{.rows = 4, .cols = 16, .jobs = 1};
+  FunctionalLoomEngine slow(on(fo, "scalar"));
   const auto rs = slow.run_conv(net.layer(0), input, weights, 16);
-  EXPECT_EQ(rf.cycles, rs.cycles);
-  EXPECT_DOUBLE_EQ(rf.mean_streamed_precision, rs.mean_streamed_precision);
-  EXPECT_EQ(fast.dispatcher().activation_bits_streamed(),
-            slow.dispatcher().activation_bits_streamed());
-  for (std::int64_t i = 0; i < rs.wide.elements(); ++i) {
-    ASSERT_EQ(rf.wide.flat(i), rs.wide.flat(i)) << i;
+  for (const std::string& backend : tunables()) {
+    SCOPED_TRACE(backend);
+    FunctionalLoomEngine fast(on(fo, backend));
+    const auto rf = fast.run_conv(net.layer(0), input, weights, 16);
+    EXPECT_EQ(rf.cycles, rs.cycles);
+    EXPECT_DOUBLE_EQ(rf.mean_streamed_precision, rs.mean_streamed_precision);
+    EXPECT_EQ(fast.dispatcher().activation_bits_streamed(),
+              slow.dispatcher().activation_bits_streamed());
+    for (std::int64_t i = 0; i < rs.wide.elements(); ++i) {
+      ASSERT_EQ(rf.wide.flat(i), rs.wide.flat(i)) << i;
+    }
   }
 }
 
@@ -283,16 +313,18 @@ TEST(BitsliceEquivalence, FullPrecisionEngineAgreement) {
   const nn::Tensor input = nn::make_activation_tensor(net.layer(0).in, act, 7, 1);
   const nn::Tensor weights =
       nn::make_weight_tensor(net.layer(0).weight_count(), wsp, 8, 2);
-  FunctionalOptions fo{.rows = c.rows, .cols = c.cols, .jobs = 1};
-  FunctionalLoomEngine fast(fo);
-  fo.force_scalar = true;
-  FunctionalLoomEngine slow(fo);
-  const auto rf = fast.run_conv(net.layer(0), input, weights, 16);
+  const FunctionalOptions fo{.rows = c.rows, .cols = c.cols, .jobs = 1};
+  FunctionalLoomEngine slow(on(fo, "scalar"));
   const auto rs = slow.run_conv(net.layer(0), input, weights, 16);
-  for (std::int64_t i = 0; i < rs.wide.elements(); ++i) {
-    ASSERT_EQ(rf.wide.flat(i), rs.wide.flat(i)) << i;
+  for (const std::string& backend : tunables()) {
+    SCOPED_TRACE(backend);
+    FunctionalLoomEngine fast(on(fo, backend));
+    const auto rf = fast.run_conv(net.layer(0), input, weights, 16);
+    for (std::int64_t i = 0; i < rs.wide.elements(); ++i) {
+      ASSERT_EQ(rf.wide.flat(i), rs.wide.flat(i)) << i;
+    }
+    EXPECT_EQ(rf.cycles, rs.cycles);
   }
-  EXPECT_EQ(rf.cycles, rs.cycles);
 }
 
 TEST(BitsliceEquivalence, SignedFcActivations) {
@@ -310,18 +342,20 @@ TEST(BitsliceEquivalence, SignedFcActivations) {
   const nn::Tensor weights =
       nn::make_weight_tensor(net.layer(0).weight_count(), wsp, 10, 2);
 
-  FunctionalOptions fo{.jobs = 1};
-  FunctionalLoomEngine fast(fo);
-  fo.force_scalar = true;
-  FunctionalLoomEngine slow(fo);
-  const auto rf = fast.run_fc(net.layer(0), input, weights, 16);
+  const FunctionalOptions fo{.jobs = 1};
+  FunctionalLoomEngine slow(on(fo, "scalar"));
   const auto rs = slow.run_fc(net.layer(0), input, weights, 16);
   const nn::WideTensor golden = nn::fc_forward(input, weights, net.layer(0));
-  for (std::int64_t i = 0; i < golden.elements(); ++i) {
-    ASSERT_EQ(rf.wide.flat(i), rs.wide.flat(i)) << i;
-    ASSERT_EQ(rf.wide.flat(i), golden.flat(i)) << i;
+  for (const std::string& backend : tunables()) {
+    SCOPED_TRACE(backend);
+    FunctionalLoomEngine fast(on(fo, backend));
+    const auto rf = fast.run_fc(net.layer(0), input, weights, 16);
+    for (std::int64_t i = 0; i < golden.elements(); ++i) {
+      ASSERT_EQ(rf.wide.flat(i), rs.wide.flat(i)) << i;
+      ASSERT_EQ(rf.wide.flat(i), golden.flat(i)) << i;
+    }
+    EXPECT_EQ(rf.cycles, rs.cycles);
   }
-  EXPECT_EQ(rf.cycles, rs.cycles);
 }
 
 TEST(BitsliceEquivalence, DpnnBackendsAgree) {
@@ -338,14 +372,18 @@ TEST(BitsliceEquivalence, DpnnBackendsAgree) {
   const nn::Tensor weights =
       nn::make_weight_tensor(net.layer(0).weight_count(), wsp, 12, 2);
 
-  FunctionalDpnnEngine fast(DpnnFunctionalOptions{.jobs = 1});
-  FunctionalDpnnEngine slow(DpnnFunctionalOptions{.force_scalar = true});
-  const auto rf = fast.run_conv(net.layer(0), input, weights, 16);
+  const DpnnFunctionalOptions fo{.jobs = 1};
+  FunctionalDpnnEngine slow(on(fo, "scalar"));
   const auto rs = slow.run_conv(net.layer(0), input, weights, 16);
-  EXPECT_EQ(rf.cycles, rs.cycles);
-  EXPECT_EQ(rf.requant_shift, rs.requant_shift);
-  for (std::int64_t i = 0; i < rs.wide.elements(); ++i) {
-    ASSERT_EQ(rf.wide.flat(i), rs.wide.flat(i)) << i;
+  for (const std::string& backend : tunables()) {
+    SCOPED_TRACE(backend);
+    FunctionalDpnnEngine fast(on(fo, backend));
+    const auto rf = fast.run_conv(net.layer(0), input, weights, 16);
+    EXPECT_EQ(rf.cycles, rs.cycles);
+    EXPECT_EQ(rf.requant_shift, rs.requant_shift);
+    for (std::int64_t i = 0; i < rs.wide.elements(); ++i) {
+      ASSERT_EQ(rf.wide.flat(i), rs.wide.flat(i)) << i;
+    }
   }
 }
 
@@ -367,16 +405,18 @@ TEST(BitsliceFcCycles, MatchCascadeAwareAnalyticModel) {
   const nn::Tensor weights =
       nn::make_weight_tensor(net.layer(0).weight_count(), wsp, 14, 2);
 
-  FunctionalLoomEngine eng(FunctionalOptions{.jobs = 1});
-  const auto run = eng.run_fc(net.layer(0), input, weights, 16);
-
   arch::LoomConfig cfg;
   cfg.equiv_macs = 16;  // rows() = 16 like the functional grid
   LoomSimulator sim(cfg, SimOptions{});
-  NetworkWorkload wl(std::move(net), p);
+  NetworkWorkload wl(net, p);
   mem::MemorySystem mem(mem::default_memory_config(cfg.equiv_macs, true));
   const LayerResult analytic = sim.simulate_layer(wl.layer(0), mem);
-  EXPECT_EQ(run.cycles + kPipelineFill, analytic.compute_cycles);
+  for (const std::string& backend : tunables()) {
+    SCOPED_TRACE(backend);
+    FunctionalLoomEngine eng(FunctionalOptions{.jobs = 1, .backend = backend});
+    const auto run = eng.run_fc(net.layer(0), input, weights, 16);
+    EXPECT_EQ(run.cycles + kPipelineFill, analytic.compute_cycles);
+  }
 
   // Cascading must actually help a few-outputs layer: the plan picks
   // ways > 1 and beats the no-cascade count.
@@ -388,28 +428,16 @@ TEST(BitsliceFcCycles, MatchCascadeAwareAnalyticModel) {
   EXPECT_LT(plan.cycles, flat.cycles);
 }
 
-// ---- Primitives -----------------------------------------------------------
-
-TEST(BitslicePrimitives, Transpose64RoundTripsAndMapsBits) {
-  std::uint64_t a[64] = {};
-  // Value 11 (bits 0, 1, 3) in column 5; value 1 in column 63.
-  a[0] = (std::uint64_t{1} << 5) | (std::uint64_t{1} << 63);
-  a[1] = std::uint64_t{1} << 5;
-  a[3] = std::uint64_t{1} << 5;
-  std::uint64_t t[64];
-  std::copy(std::begin(a), std::end(a), std::begin(t));
-  transpose64(t);
-  EXPECT_EQ(t[5], 11u);
-  EXPECT_EQ(t[63], 1u);
-  EXPECT_EQ(t[0], 0u);
-  transpose64(t);
-  for (int i = 0; i < 64; ++i) ASSERT_EQ(t[i], a[i]) << i;
-}
+// ---- Grid envelope --------------------------------------------------------
 
 TEST(BitslicePrimitives, UnsupportedColumnCountsFallBackToScalar) {
-  EXPECT_FALSE(BitsliceEngine::supports(BitsliceEngine::Options{.cols = 65}));
+  const BackendContext wide{.rows = 2, .cols = 65};
+  EXPECT_TRUE(tunables(wide).empty());
+  for (const std::string& backend : BackendRegistry::instance().names()) {
+    EXPECT_EQ(resolve_backend_name(backend, false, wide), "scalar") << backend;
+  }
   FunctionalLoomEngine eng(FunctionalOptions{.rows = 2, .cols = 65});
-  EXPECT_FALSE(eng.bitsliced());
+  EXPECT_EQ(eng.backend_name(), "scalar");
 
   // The fallback still computes correct results.
   nn::Network net("t", nn::Shape3{2, 5, 5});

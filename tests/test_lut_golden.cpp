@@ -3,9 +3,9 @@
 // outputs, cycles, streamed-precision mean) the LUT kernels produce on
 // profiled AlexNet and NiN layers — any change to the table build, the
 // slice decomposition, the dead-group skip or the stats replication shows
-// up as a digest break here before it can drift. Both LUT tilings and the
-// bit-sliced engine must produce the *same* digest: byte-identity is the
-// contract, the constant just anchors it to history.
+// up as a digest break here before it can drift. The LUT and multiply-add
+// kernels must produce the *same* digest: byte-identity is the contract,
+// the constant just anchors it to history.
 //
 // The pack_row tests pin every SIMD tier of the weight bit-plane packing
 // to an independent per-group reference, byte for byte, and check that no
@@ -87,7 +87,7 @@ struct GoldenCase {
 };
 
 // FNV-1a digests captured from the LUT backend when it was introduced;
-// bitslice produced identical bytes (asserted below, not assumed).
+// madd produces identical bytes (asserted below, not assumed).
 constexpr GoldenCase kGoldenConv[] = {
     {"alexnet", "conv5", 0xe5724174fa286308ull},
     {"nin", "cccp3", 0x8b65031dd9e57c41ull},
@@ -105,7 +105,7 @@ TEST(LutGolden, ConvDigestsOnZooLayers) {
     const nn::Tensor weights = synth(nn::Shape{layer.weight_count()},
                                      layer.weight_precision, true, 0x10CAu, 9);
     std::uint64_t first = 0;
-    for (const char* backend : {"lut", "bitslice"}) {
+    for (const char* backend : {"madd", "lut"}) {
       SCOPED_TRACE(backend);
       FunctionalLoomEngine eng(
           FunctionalOptions{.jobs = 1, .backend = backend});
@@ -127,7 +127,7 @@ TEST(LutGolden, FcDigestOnAlexnetFc8) {
   const nn::Tensor weights = synth(nn::Shape{layer.weight_count()},
                                    layer.weight_precision, true, 0xFC8u, 9);
   std::uint64_t first = 0;
-  for (const char* backend : {"lut", "bitslice"}) {
+  for (const char* backend : {"madd", "lut"}) {
     SCOPED_TRACE(backend);
     FunctionalLoomEngine eng(FunctionalOptions{.jobs = 1, .backend = backend});
     const FunctionalLayerRun run =
@@ -240,7 +240,7 @@ TEST_F(AutotunerTest, PinnedTimingsGiveSameChoiceEverywhere) {
   tuner.set_timing_override_for_test(
       [](const TuneKey&, const std::string& backend) -> std::uint64_t {
         if (backend == "lut") return 100;
-        if (backend == "bitslice") return 200;
+        if (backend == "madd") return 200;
         return 300;
       });
 
@@ -271,16 +271,16 @@ TEST_F(AutotunerTest, PinnedTimingsGiveSameChoiceEverywhere) {
   // not flip a decided cell...
   tuner.set_timing_override_for_test(
       [](const TuneKey&, const std::string& backend) -> std::uint64_t {
-        return backend == "bitslice" ? 10 : 1000;
+        return backend == "madd" ? 10 : 1000;
       });
   EXPECT_EQ(run_auto(layer, input, weights), "lut");
   // ...but after a reset the new timings decide afresh.
   tuner.reset_for_test();
-  EXPECT_EQ(run_auto(layer, input, weights), "bitslice");
+  EXPECT_EQ(run_auto(layer, input, weights), "madd");
 }
 
 TEST_F(AutotunerTest, PinOverridesMeasurementsAndSurvivesReResolution) {
-  ASSERT_EQ(setenv("LOOM_AUTOTUNE_PIN", "bitslice", 1), 0);
+  ASSERT_EQ(setenv("LOOM_AUTOTUNE_PIN", "madd", 1), 0);
   auto& tuner = BackendAutotuner::instance();
   tuner.reset_for_test();  // re-reads the pin
   // Timings say "lut"; the pin must win anyway.
@@ -295,12 +295,12 @@ TEST_F(AutotunerTest, PinOverridesMeasurementsAndSurvivesReResolution) {
   const nn::Tensor weights = synth(nn::Shape{layer.weight_count()},
                                    layer.weight_precision, true, 2, 9);
 
-  EXPECT_EQ(run_auto(layer, input, weights), "bitslice");
-  EXPECT_EQ(run_auto(layer, input, weights), "bitslice");  // re-resolution
+  EXPECT_EQ(run_auto(layer, input, weights), "madd");
+  EXPECT_EQ(run_auto(layer, input, weights), "madd");  // re-resolution
 
   std::vector<BackendAutotuner::Decision> ds = tuner.decisions();
   ASSERT_EQ(ds.size(), 1u);
-  EXPECT_EQ(ds[0].winner, "bitslice");
+  EXPECT_EQ(ds[0].winner, "madd");
   EXPECT_TRUE(ds[0].pinned);
 }
 
@@ -309,11 +309,11 @@ TEST_F(AutotunerTest, DistinctGeometriesGetDistinctCells) {
   tuner.reset_for_test();
   tuner.set_timing_override_for_test(
       [](const TuneKey& key, const std::string& backend) -> std::uint64_t {
-        // Make the winner depend on the geometry: lut for low Pw, bitslice
+        // Make the winner depend on the geometry: lut for low Pw, madd
         // otherwise — the autotuner must keep them apart per cell.
         const bool low_pw = key.pw <= 4;
         if (backend == "lut") return low_pw ? 10 : 100;
-        if (backend == "bitslice") return low_pw ? 100 : 10;
+        if (backend == "madd") return low_pw ? 100 : 10;
         return 200;
       });
 
@@ -328,7 +328,7 @@ TEST_F(AutotunerTest, DistinctGeometriesGetDistinctCells) {
                                   high.weight_precision, true, 3, 11);
 
   EXPECT_EQ(run_auto(low, input, w_low), "lut");
-  EXPECT_EQ(run_auto(high, input, w_high), "bitslice");
+  EXPECT_EQ(run_auto(high, input, w_high), "madd");
   EXPECT_EQ(tuner.decisions().size(), 2u);
 }
 

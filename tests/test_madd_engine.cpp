@@ -3,18 +3,20 @@
 // operands, the hi/lo activation split (DPNN 16 x 16 signed, Pa = 16
 // unsigned), and the raw-OR / masked-accumulator split for activations with
 // bits above the profile. Accumulators are checked against nn::conv_forward /
-// nn::fc_forward, stats against the bit-sliced engine's inline accounting.
+// nn::fc_forward, stats against the scalar arch::Sip oracle's dispatcher
+// accounting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/cpuid.hpp"
 #include "common/rng.hpp"
 #include "nn/reference.hpp"
-#include "sim/bitslice_engine.hpp"
+#include "sim/backend.hpp"
 #include "sim/conv_stats.hpp"
 #include "sim/madd_engine.hpp"
 
@@ -60,8 +62,7 @@ void expect_same(const nn::WideTensor& got, const nn::WideTensor& want) {
   }
 }
 
-void expect_same(const BitsliceEngine::ConvStats& a,
-                 const BitsliceEngine::ConvStats& b) {
+void expect_same(const ConvStats& a, const ConvStats& b) {
   EXPECT_EQ(a.cycles, b.cycles);
   EXPECT_EQ(a.streamed_pa, b.streamed_pa);
   EXPECT_EQ(a.chunks, b.chunks);
@@ -73,11 +74,9 @@ void expect_same(const BitsliceEngine::ConvStats& a,
 
 /// One conv layer through MaddEngine (stats returned, accumulators in
 /// `out`).
-BitsliceEngine::ConvStats madd_conv(const nn::Layer& layer,
-                                    const nn::Tensor& input,
-                                    const nn::Tensor& weights,
-                                    const BitsliceEngine::SliceSpec& spec,
-                                    nn::WideTensor& out, int jobs = 2) {
+ConvStats madd_conv(const nn::Layer& layer, const nn::Tensor& input,
+                    const nn::Tensor& weights, const SliceSpec& spec,
+                    nn::WideTensor& out, int jobs = 2) {
   MaddEngine eng({.jobs = jobs});
   out = nn::WideTensor(nn::Shape{layer.out.c, layer.out.h, layer.out.w});
   const nn::Tensor* in[] = {&input};
@@ -95,13 +94,19 @@ nn::WideTensor madd_fc(const nn::Layer& layer, const nn::Tensor& input,
   return out;
 }
 
-BitsliceEngine::ConvStats bitslice_stats(const nn::Layer& layer,
-                                         const nn::Tensor& input,
-                                         const nn::Tensor& weights,
-                                         const BitsliceEngine::SliceSpec& spec) {
-  BitsliceEngine eng({.jobs = 2});
+/// The stats the scalar arch::Sip oracle's dispatcher reports for the same
+/// run (unsigned activations only): the reference conv_stream_stats is
+/// pinned against.
+ConvStats scalar_stats(const nn::Layer& layer, const nn::Tensor& input,
+                       const nn::Tensor& weights, const SliceSpec& spec,
+                       const BackendContext& ctx = {}) {
+  const BackendInfo* info = BackendRegistry::instance().find("scalar");
+  EXPECT_NE(info, nullptr);
+  const auto oracle = info->make(ctx);
   nn::WideTensor out(nn::Shape{layer.out.c, layer.out.h, layer.out.w});
-  return eng.run_conv(layer, input, weights, spec, out);
+  const nn::Tensor* in[] = {&input};
+  nn::WideTensor* wide[] = {&out};
+  return oracle->run_conv_batch(layer, in, weights, spec, wide);
 }
 
 // ---- Kernel tiers ---------------------------------------------------------
@@ -207,10 +212,10 @@ TEST(MaddEngine, RaggedConvBatchMatchesReference) {
   // out_c 7 (not a row-block multiple), 5x5 output x 3 requests = 75 windows
   // (not a strip multiple, strips spanning requests), K = 3 * 3 * 3 = 27 (odd).
   nn::Layer layer = nn::make_conv("ragged", nn::Shape3{6, 5, 5}, 14, 3, 1, 1, 2);
-  const BitsliceEngine::SliceSpec spec{.act_precision = 9,
-                                       .weight_precision = 7,
-                                       .act_signed = false,
-                                       .dynamic = true};
+  const SliceSpec spec{.act_precision = 9,
+                       .weight_precision = 7,
+                       .act_signed = false,
+                       .dynamic = true};
   const nn::Tensor weights =
       random_tensor(nn::Shape{layer.weight_count()}, -64, 63, 5);
   std::vector<nn::Tensor> inputs;
@@ -221,14 +226,10 @@ TEST(MaddEngine, RaggedConvBatchMatchesReference) {
   const nn::Tensor* in[] = {&inputs[0], &inputs[1], &inputs[2]};
   nn::WideTensor* wide[] = {&wides[0], &wides[1], &wides[2]};
   MaddEngine eng({.cols = 16, .jobs = 3});
-  const auto st = eng.run_conv_batch(layer, in, weights, spec, wide);
+  (void)eng.run_conv_batch(layer, in, weights, spec, wide);
   for (int r = 0; r < 3; ++r) {
     expect_same(wides[r], nn::conv_forward(inputs[r], weights, layer));
   }
-  BitsliceEngine bs({.cols = 16, .jobs = 3});
-  std::vector<nn::WideTensor> bs_wides(3, nn::WideTensor(nn::Shape{14, 5, 5}));
-  nn::WideTensor* bs_wide[] = {&bs_wides[0], &bs_wides[1], &bs_wides[2]};
-  expect_same(st, bs.run_conv_batch(layer, in, weights, spec, bs_wide));
 }
 
 TEST(MaddEngine, ConvOverflowEdgeWidensAcrossChunks) {
@@ -238,10 +239,10 @@ TEST(MaddEngine, ConvOverflowEdgeWidensAcrossChunks) {
   nn::Layer layer = nn::make_conv("edge", nn::Shape3{512, 3, 3}, 5, 3, 1, 1);
   for (const auto& [pa, pw] : {std::pair{8, 12}, std::pair{12, 12},
                                std::pair{15, 16}}) {
-    const BitsliceEngine::SliceSpec spec{.act_precision = pa,
-                                         .weight_precision = pw,
-                                         .act_signed = false,
-                                         .dynamic = true};
+    const SliceSpec spec{.act_precision = pa,
+                         .weight_precision = pw,
+                         .act_signed = false,
+                         .dynamic = true};
     const nn::Tensor input =
         filled(nn::Shape{512, 3, 3}, static_cast<Value>((1 << pa) - 1));
     const nn::Tensor weights = filled(nn::Shape{layer.weight_count()},
@@ -251,7 +252,7 @@ TEST(MaddEngine, ConvOverflowEdgeWidensAcrossChunks) {
     const nn::WideTensor want = nn::conv_forward(input, weights, layer);
     ASSERT_LT(want.at3(0, 1, 1), std::int64_t{INT32_MIN}) << pa << "x" << pw;
     expect_same(out, want);
-    expect_same(st, bitslice_stats(layer, input, weights, spec));
+    expect_same(st, scalar_stats(layer, input, weights, spec));
   }
 }
 
@@ -273,18 +274,20 @@ TEST(MaddEngine, FcOverflowEdgeWidensAcrossChunks) {
 
 TEST(MaddEngine, DpnnSignedExtremesTakeTheSplit) {
   // -32768 * -32768 pairs: one vpmaddwd pair alone would wrap to INT32_MIN.
-  const BitsliceEngine::SliceSpec dpnn{.act_precision = kBasePrecision,
-                                       .weight_precision = kBasePrecision,
-                                       .act_signed = true,
-                                       .dynamic = false};
+  // The scalar SIP grid is unsigned-only (the DPNN engine discards the stats
+  // of this spec), so only the accumulators are checked, against
+  // nn::conv_forward.
+  const SliceSpec dpnn{.act_precision = kBasePrecision,
+                       .weight_precision = kBasePrecision,
+                       .act_signed = true,
+                       .dynamic = false};
   nn::Layer conv = nn::make_conv("dpnn", nn::Shape3{512, 3, 3}, 3, 3, 1, 1);
   for (const Value a : {Value{-32768}, Value{32767}}) {
     const nn::Tensor input = filled(nn::Shape{512, 3, 3}, a);
     const nn::Tensor weights = filled(nn::Shape{conv.weight_count()}, -32768);
     nn::WideTensor out;
-    const auto st = madd_conv(conv, input, weights, dpnn, out);
+    (void)madd_conv(conv, input, weights, dpnn, out);
     expect_same(out, nn::conv_forward(input, weights, conv));
-    expect_same(st, bitslice_stats(conv, input, weights, dpnn));
   }
   const nn::Tensor mixed = random_tensor(nn::Shape{512, 3, 3}, -32768, 32767, 4);
   const nn::Tensor mixed_w =
@@ -305,10 +308,10 @@ TEST(MaddEngine, UnsignedPa16ActivationsAboveInt16) {
   // tensor as int16, so the reference adds back 2^16 per set bit 15:
   // conv(u) = conv(x) + 65536 * conv(bit15(x)).
   nn::Layer layer = nn::make_conv("pa16", nn::Shape3{64, 6, 6}, 6, 3, 1, 1);
-  const BitsliceEngine::SliceSpec spec{.act_precision = kBasePrecision,
-                                       .weight_precision = 11,
-                                       .act_signed = false,
-                                       .dynamic = true};
+  const SliceSpec spec{.act_precision = kBasePrecision,
+                       .weight_precision = 11,
+                       .act_signed = false,
+                       .dynamic = true};
   const nn::Tensor input = random_tensor(nn::Shape{64, 6, 6}, -32768, 32767, 8);
   const nn::Tensor weights =
       random_tensor(nn::Shape{layer.weight_count()}, -1024, 1023, 9);
@@ -324,7 +327,7 @@ TEST(MaddEngine, UnsignedPa16ActivationsAboveInt16) {
   nn::WideTensor out;
   const auto st = madd_conv(layer, input, weights, spec, out);
   expect_same(out, want);
-  expect_same(st, bitslice_stats(layer, input, weights, spec));
+  expect_same(st, scalar_stats(layer, input, weights, spec));
 }
 
 TEST(MaddEngine, BitsAboveProfileAreOredRawButMaskedInTheSum) {
@@ -332,10 +335,10 @@ TEST(MaddEngine, BitsAboveProfileAreOredRawButMaskedInTheSum) {
   // bits: the detector sees the raw OR (Pa clamps to the profile), while the
   // accumulators use raw & (2^6 - 1).
   nn::Layer layer = nn::make_conv("above", nn::Shape3{32, 7, 7}, 9, 3, 2, 1);
-  const BitsliceEngine::SliceSpec spec{.act_precision = 6,
-                                       .weight_precision = 8,
-                                       .act_signed = false,
-                                       .dynamic = true};
+  const SliceSpec spec{.act_precision = 6,
+                       .weight_precision = 8,
+                       .act_signed = false,
+                       .dynamic = true};
   nn::Tensor raw = random_tensor(nn::Shape{32, 7, 7}, 0, 3, 10);
   nn::Tensor masked = raw;
   for (std::int64_t i = 0; i < raw.elements(); ++i) {
@@ -346,7 +349,7 @@ TEST(MaddEngine, BitsAboveProfileAreOredRawButMaskedInTheSum) {
   nn::WideTensor out;
   const auto st = madd_conv(layer, raw, weights, spec, out);
   expect_same(out, nn::conv_forward(masked, weights, layer));
-  expect_same(st, bitslice_stats(layer, raw, weights, spec));
+  expect_same(st, scalar_stats(layer, raw, weights, spec));
 
   // The masked input detects a narrower precision: the stats do depend on
   // the raw bits.
@@ -355,24 +358,65 @@ TEST(MaddEngine, BitsAboveProfileAreOredRawButMaskedInTheSum) {
   EXPECT_LT(narrow.cycles, st.cycles);
 }
 
-TEST(ConvStreamStats, StaticClosedFormMatchesBitslice) {
+TEST(ConvStreamStats, StaticClosedFormMatchesScalarOracle) {
   nn::Layer layer = nn::make_conv("static", nn::Shape3{10, 9, 9}, 21, 3, 2, 0);
-  const BitsliceEngine::SliceSpec spec{.act_precision = 9,
-                                       .weight_precision = 5,
-                                       .act_signed = false,
-                                       .dynamic = false};
+  const SliceSpec spec{.act_precision = 9,
+                       .weight_precision = 5,
+                       .act_signed = false,
+                       .dynamic = false};
   const nn::Tensor input = random_tensor(nn::Shape{10, 9, 9}, 0, 511, 12);
   const nn::Tensor weights =
       random_tensor(nn::Shape{layer.weight_count()}, -16, 15, 13);
   const nn::Tensor* in[] = {&input};
   for (const int cols : {1, 5, 16, 64}) {
     for (const int lanes : {1, 7, 16, 32}) {
-      BitsliceEngine bs({.rows = 6, .cols = cols, .lanes = lanes, .jobs = 1});
-      nn::WideTensor out(nn::Shape{layer.out.c, layer.out.h, layer.out.w});
-      expect_same(conv_stream_stats(layer, in, spec,
-                                    StatsGrid{.rows = 6, .cols = cols, .lanes = lanes}),
-                  bs.run_conv(layer, input, weights, spec, out));
+      SCOPED_TRACE("cols " + std::to_string(cols) + " lanes " +
+                   std::to_string(lanes));
+      expect_same(
+          conv_stream_stats(layer, in, spec,
+                            StatsGrid{.rows = 6, .cols = cols, .lanes = lanes}),
+          scalar_stats(layer, input, weights, spec,
+                       {.rows = 6, .cols = cols, .lanes = lanes}));
     }
+  }
+}
+
+TEST(ConvStreamStats, BatchGroupsSpanningRequestsMatchScalarOracle) {
+  // A 1x1 stride-1 conv's windows are its pixels in raster order, so a
+  // batch's concatenated window axis is exactly the window axis of one
+  // input stacked along h. Column groups that span a request boundary then
+  // have an independent reference: the scalar oracle on the stacked input.
+  constexpr int kRequests = 3;
+  const nn::Layer layer = nn::make_conv("pw", nn::Shape3{9, 5, 3}, 7, 1, 1, 0);
+  const nn::Layer stacked_layer =
+      nn::make_conv("pw", nn::Shape3{9, 5 * kRequests, 3}, 7, 1, 1, 0);
+  const nn::Tensor weights =
+      random_tensor(nn::Shape{layer.weight_count()}, -64, 63, 14);
+  std::vector<nn::Tensor> inputs;
+  nn::Tensor stacked(nn::Shape{9, 5 * kRequests, 3});
+  for (int r = 0; r < kRequests; ++r) {
+    // Request r's values stay below 2^(2r+3), so the detected precision of
+    // a group depends on which requests it spans.
+    inputs.push_back(random_tensor(nn::Shape{9, 5, 3}, 0, (8 << (2 * r)) - 1,
+                                   30 + static_cast<std::uint64_t>(r)));
+    for (std::int64_t c = 0; c < 9; ++c) {
+      for (std::int64_t y = 0; y < 5; ++y) {
+        for (std::int64_t x = 0; x < 3; ++x) {
+          stacked.at3(c, r * 5 + y, x) = inputs.back().at3(c, y, x);
+        }
+      }
+    }
+  }
+  const nn::Tensor* in[] = {&inputs[0], &inputs[1], &inputs[2]};
+  const SliceSpec spec{.act_precision = 9,
+                       .weight_precision = 7,
+                       .act_signed = false,
+                       .dynamic = true};
+  for (const int cols : {4, 7, 16}) {  // 15 windows per request
+    SCOPED_TRACE("cols " + std::to_string(cols));
+    expect_same(conv_stream_stats(layer, in, spec, StatsGrid{.cols = cols}),
+                scalar_stats(stacked_layer, stacked, weights, spec,
+                             {.cols = cols}));
   }
 }
 
