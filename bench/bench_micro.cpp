@@ -19,6 +19,7 @@
 #include "common/error.hpp"
 #include "core/loom.hpp"
 #include "nn/im2col.hpp"
+#include "nn/reference.hpp"
 #include "sim/lut_engine.hpp"
 #include "serve/model_snapshot.hpp"
 #include "serve/server.hpp"
@@ -582,6 +583,43 @@ void BM_ConvStreamStats(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * c.layer.macs());
 }
 BENCHMARK(BM_ConvStreamStats)->Unit(benchmark::kMicrosecond);
+
+// ---- Between the layers ---------------------------------------------------
+// The per-request work around the kernels on AlexNet shapes: pooling and the
+// requantization of a conv layer's accumulators.
+
+void BM_PoolForward(benchmark::State& state) {
+  // AlexNet pool1: 96ch 55x55, 3x3 max windows at stride 2 -> 27x27.
+  nn::Network net = nn::zoo::make("alexnet");
+  quant::apply_profile(net, quant::profile_for("alexnet", quant::AccuracyTarget::k100));
+  const nn::Layer* pool = nullptr;
+  for (std::size_t i = 0; i < net.size() && pool == nullptr; ++i) {
+    if (net.layer(i).name == "pool1") pool = &net.layer(i);
+  }
+  if (pool == nullptr) throw ConfigError("no alexnet layer pool1");
+  nn::SyntheticSpec act{.precision = 8, .alpha = 1.5, .is_signed = false};
+  const nn::Tensor input = nn::make_activation_tensor(pool->in, act, 1, 0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(nn::pool_forward(input, *pool));
+  }
+  state.SetItemsProcessed(state.iterations() * input.elements());
+}
+BENCHMARK(BM_PoolForward)->Unit(benchmark::kMicrosecond);
+
+void BM_Requantize(benchmark::State& state) {
+  // AlexNet conv1's accumulators (96 x 55 x 55) to 8 bits: the shift choice
+  // and the shift / ReLU / saturation pass each request pays.
+  const AlexnetLayerCase c = alexnet_layer("conv1");
+  sim::FunctionalLoomEngine engine(
+      sim::FunctionalOptions{.jobs = 1, .backend = "madd"});
+  const nn::WideTensor acc = engine.run_conv(c.layer, c.input, c.weights, 16).wide;
+  for (auto _ : state) {
+    const int shift = nn::choose_requant_shift(acc, 8);
+    benchmark::DoNotOptimize(nn::requantize(acc, shift, 8, /*relu=*/true));
+  }
+  state.SetItemsProcessed(state.iterations() * acc.elements());
+}
+BENCHMARK(BM_Requantize)->Unit(benchmark::kMicrosecond);
 
 void BM_LutConvLayerPwSweep(benchmark::State& state) {
   // The LUT kernel across weight precisions: each extra Pw bit adds one

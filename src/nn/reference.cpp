@@ -1,8 +1,8 @@
 #include "nn/reference.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -70,31 +70,68 @@ Tensor pool_forward(const Tensor& input, const Layer& layer) {
   LOOM_EXPECTS(layer.kind == LayerKind::kPool);
   LOOM_EXPECTS(input.shape() == (Shape{layer.in.c, layer.in.h, layer.in.w}));
 
-  Tensor out(Shape{layer.out.c, layer.out.h, layer.out.w});
+  // Separable in place: per output row, the window's valid input rows fold
+  // column-wise into one row (max, or an exact int64 sum), then each output
+  // reads its window's valid columns of that row. Window ranges clip to the
+  // input once per row / column, never per element. A window with no valid
+  // element yields the max identity (INT16_MIN) or an average of 0.
+  const std::int64_t in_h = layer.in.h;
+  const std::int64_t in_w = layer.in.w;
+  const std::int64_t out_h = layer.out.h;
+  const std::int64_t out_w = layer.out.w;
+  const bool is_max = layer.pool == PoolKind::kMax;
+  std::vector<std::int64_t> x_lo(static_cast<std::size_t>(out_w));
+  std::vector<std::int64_t> x_hi(static_cast<std::size_t>(out_w));
+  for (std::int64_t ox = 0; ox < out_w; ++ox) {
+    const std::int64_t x0 = ox * layer.stride - layer.pad;
+    x_lo[static_cast<std::size_t>(ox)] = std::max<std::int64_t>(x0, 0);
+    x_hi[static_cast<std::size_t>(ox)] =
+        std::max(x_lo[static_cast<std::size_t>(ox)],
+                 std::min<std::int64_t>(x0 + layer.kernel_w, in_w));
+  }
+  std::vector<Value> row_max(static_cast<std::size_t>(is_max ? in_w : 0));
+  std::vector<Wide> row_sum(static_cast<std::size_t>(is_max ? 0 : in_w));
+
+  Tensor out(Shape{layer.out.c, out_h, out_w});
+  const Value* src = input.data().data();
+  Value* dst = out.data().data();
   for (std::int64_t c = 0; c < layer.out.c; ++c) {
-    for (std::int64_t oy = 0; oy < layer.out.h; ++oy) {
-      for (std::int64_t ox = 0; ox < layer.out.w; ++ox) {
-        Wide acc = layer.pool == PoolKind::kMax
-                       ? std::numeric_limits<Value>::min()
-                       : 0;
-        std::int64_t n = 0;
-        for (std::int64_t ky = 0; ky < layer.kernel_h; ++ky) {
-          const std::int64_t iy = oy * layer.stride + ky - layer.pad;
-          if (iy < 0 || iy >= layer.in.h) continue;
-          for (std::int64_t kx = 0; kx < layer.kernel_w; ++kx) {
-            const std::int64_t ix = ox * layer.stride + kx - layer.pad;
-            if (ix < 0 || ix >= layer.in.w) continue;
-            const Value v = input.at3(c, iy, ix);
-            if (layer.pool == PoolKind::kMax) {
-              acc = std::max<Wide>(acc, v);
-            } else {
-              acc += v;
-            }
-            ++n;
-          }
+    const Value* plane = src + c * in_h * in_w;
+    for (std::int64_t oy = 0; oy < out_h; ++oy, dst += out_w) {
+      const std::int64_t y0 = oy * layer.stride - layer.pad;
+      const std::int64_t y_lo = std::max<std::int64_t>(y0, 0);
+      const std::int64_t y_hi =
+          std::max(y_lo, std::min<std::int64_t>(y0 + layer.kernel_h, in_h));
+      if (is_max) {
+        Value* rm = row_max.data();
+        std::fill(rm, rm + in_w, std::numeric_limits<Value>::min());
+        for (std::int64_t y = y_lo; y < y_hi; ++y) {
+          const Value* r = plane + y * in_w;
+          for (std::int64_t x = 0; x < in_w; ++x) rm[x] = std::max(rm[x], r[x]);
         }
-        if (layer.pool == PoolKind::kAvg && n > 0) acc /= n;
-        out.at3(c, oy, ox) = static_cast<Value>(acc);
+        for (std::int64_t ox = 0; ox < out_w; ++ox) {
+          Value m = std::numeric_limits<Value>::min();
+          for (std::int64_t x = x_lo[static_cast<std::size_t>(ox)];
+               x < x_hi[static_cast<std::size_t>(ox)]; ++x) {
+            m = std::max(m, rm[x]);
+          }
+          dst[ox] = m;
+        }
+      } else {
+        Wide* rs = row_sum.data();
+        std::fill(rs, rs + in_w, Wide{0});
+        for (std::int64_t y = y_lo; y < y_hi; ++y) {
+          const Value* r = plane + y * in_w;
+          for (std::int64_t x = 0; x < in_w; ++x) rs[x] += r[x];
+        }
+        for (std::int64_t ox = 0; ox < out_w; ++ox) {
+          const std::int64_t lo = x_lo[static_cast<std::size_t>(ox)];
+          const std::int64_t hi = x_hi[static_cast<std::size_t>(ox)];
+          Wide acc = 0;
+          for (std::int64_t x = lo; x < hi; ++x) acc += rs[x];
+          const std::int64_t n = (y_hi - y_lo) * (hi - lo);
+          dst[ox] = static_cast<Value>(n > 0 ? acc / n : 0);
+        }
       }
     }
   }
@@ -103,22 +140,37 @@ Tensor pool_forward(const Tensor& input, const Layer& layer) {
 
 Tensor requantize(const WideTensor& acc, int shift, int out_bits, bool relu) {
   LOOM_EXPECTS(shift >= 0 && out_bits >= 1 && out_bits <= kBasePrecision);
+  // Shift, ReLU and signed saturation as one clamp to [lo, hi]: ReLU raises
+  // the floor to 0, which lies inside every out_bits range. The floor is a
+  // sign mask on min(v, hi) - lo (no overflow: lo <= 0 and that value is at
+  // most hi - lo) rather than a compare, which the compiler may turn into a
+  // branch that mispredicts on mixed-sign accumulators under ReLU.
+  const Wide hi = (Wide{1} << (out_bits - 1)) - 1;
+  const Wide lo = relu ? 0 : -(Wide{1} << (out_bits - 1));
   Tensor out(acc.shape());
+  const Wide* src = acc.data().data();
+  Value* dst = out.data().data();
   const std::int64_t n = acc.elements();
   for (std::int64_t i = 0; i < n; ++i) {
-    Wide v = acc.flat(i) >> shift;
-    if (relu && v < 0) v = 0;
-    out.set_flat(i, static_cast<Value>(saturate_signed(v, out_bits)));
+    const Wide d = std::min(src[i] >> shift, hi) - lo;  // cannot overflow
+    dst[i] = static_cast<Value>((d & ~(d >> 63)) + lo);
   }
   return out;
 }
 
 int choose_requant_shift(const WideTensor& acc, int out_bits) {
   LOOM_EXPECTS(out_bits >= 1 && out_bits <= kBasePrecision);
-  Wide peak = 0;
-  for (std::int64_t i = 0; i < acc.elements(); ++i) {
-    peak = std::max<Wide>(peak, std::abs(acc.flat(i)));
+  // The peak magnitude as max(max, -min): two branch-free reductions, which
+  // the compiler vectorizes where the target has 64-bit compares.
+  const Wide* src = acc.data().data();
+  const std::int64_t n = acc.elements();
+  Wide maxv = 0;
+  Wide minv = 0;
+  for (std::int64_t i = 0; i < n; ++i) {
+    maxv = std::max(maxv, src[i]);
+    minv = std::min(minv, src[i]);
   }
+  const Wide peak = std::max(maxv, -minv);
   int shift = 0;
   const Wide limit = (Wide{1} << (out_bits - 1)) - 1;
   while ((peak >> shift) > limit) ++shift;

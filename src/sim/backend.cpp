@@ -208,11 +208,9 @@ class ScalarBackend final : public FunctionalBackend {
     }
 
     for (std::int64_t r = 0; r < rows_used; ++r) {
+      Wide* row = wide.data().data() + (g * cog + row0 + r) * windows + col0;
       for (std::int64_t c = 0; c < cols_used; ++c) {
-        const std::int64_t co = g * cog + row0 + r;
-        const std::int64_t window = col0 + c;
-        wide.at3(co, window / layer.out.w, window % layer.out.w) =
-            sips[static_cast<std::size_t>(r * cols_used + c)].output();
+        row[c] = sips[static_cast<std::size_t>(r * cols_used + c)].output();
       }
     }
     return block_cycles;

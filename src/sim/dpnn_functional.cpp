@@ -191,10 +191,9 @@ std::uint64_t FunctionalDpnnEngine::ip_unit_conv(const nn::Layer& layer,
           }
           ++cycles;
         }
+        Wide* col = wide.data().data() + (g * cog + f0) * windows + window;
         for (std::int64_t f = 0; f < filters_used; ++f) {
-          const std::int64_t co = g * cog + f0 + f;
-          wide.at3(co, window / layer.out.w, window % layer.out.w) =
-              ips[static_cast<std::size_t>(f)].output();
+          col[f * windows] = ips[static_cast<std::size_t>(f)].output();
         }
       }
     }

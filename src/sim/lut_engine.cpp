@@ -773,10 +773,11 @@ void LutEngine::conv_slab(const nn::Layer& layer,
                         cog, pw, kGroupTile, scratch.acc.data());
     }
 
-    nn::WideTensor& wide = *wides[static_cast<std::size_t>(gw / windows)];
+    // [co][window] layout: this window's column of the group's channels.
+    Wide* col = wides[static_cast<std::size_t>(gw / windows)]->data().data() +
+                g * cog * windows + window;
     for (std::int64_t co = 0; co < cog; ++co) {
-      wide.at3(g * cog + co, window / layer.out.w, window % layer.out.w) =
-          scratch.acc[static_cast<std::size_t>(co)];
+      col[co * windows] = scratch.acc[static_cast<std::size_t>(co)];
     }
   }
 }

@@ -4,6 +4,7 @@
 #include <climits>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "common/bitops.hpp"
@@ -73,6 +74,35 @@ void gemv_scalar(const std::int16_t* w, std::int64_t rows, std::int64_t k,
         acc += static_cast<std::int64_t>(sext_shift(wr[i], shift)) * a[i];
       }
       out[r * nacts + j] = acc;
+    }
+  }
+}
+
+/// Weight rows [row0, row0 + kR) of a pack_weights block, pairs [p0, kpairs).
+void pack_block_scalar(const std::int16_t* w, std::int64_t rows,
+                       std::int64_t k, int shift, std::int64_t row0,
+                       std::int64_t p0, std::int16_t* block) noexcept {
+  const std::int64_t kpairs = ceil_div(k, std::int64_t{2});
+  for (int r = 0; r < kR; ++r) {
+    const bool live = row0 + r < rows;
+    const std::int16_t* src = w + (row0 + r) * k;
+    for (std::int64_t i = 2 * p0; i < 2 * kpairs; ++i) {
+      block[((i >> 1) * kR + r) * 2 + (i & 1)] =
+          live && i < k ? static_cast<std::int16_t>(sext_shift(src[i], shift))
+                        : std::int16_t{0};
+    }
+  }
+}
+
+void panel_strip_scalar(const std::int16_t* src, const std::int64_t* cols,
+                        const std::int64_t* taps, std::int64_t ntaps,
+                        std::int16_t* out) noexcept {
+  const std::int64_t kpairs = ceil_div(ntaps, std::int64_t{2});
+  for (std::int64_t t = 0; t < 2 * kpairs; ++t) {
+    std::int16_t* o = out + (t >> 1) * kPairStride + (t & 1);
+    for (int j = 0; j < kStrip; ++j) {
+      o[2 * j] = t < ntaps && cols[j] >= 0 ? src[cols[j] + taps[t]]
+                                           : std::int16_t{0};
     }
   }
 }
@@ -282,6 +312,105 @@ __attribute__((target("avx2"))) void gemv_block_avx2(
   }
 }
 
+// Weight pack: four rows x 8 K-pairs per step, each pair an int32 after
+// the sign extension, so the [pair][row][2] interleave is a 4 x 4 int32
+// transpose per 128-bit lane.
+__attribute__((target("avx2"))) void pack_block_avx2(
+    const std::int16_t* w, std::int64_t rows, std::int64_t k, int shift,
+    std::int64_t row0, std::int16_t* block) noexcept {
+  if (row0 + kR > rows) {  // a block with dead rows
+    pack_block_scalar(w, rows, k, shift, row0, 0, block);
+    return;
+  }
+  const __m128i sh = _mm_cvtsi32_si128(shift);
+  const std::int16_t* r0 = w + row0 * k;
+  std::int64_t p = 0;
+  for (; 2 * p + 16 <= k; p += 8) {
+    __m256i v[kR];
+    for (int r = 0; r < kR; ++r) {
+      v[r] = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(r0 + r * k + 2 * p));
+      v[r] = _mm256_sra_epi16(_mm256_sll_epi16(v[r], sh), sh);
+    }
+    const __m256i t0 = _mm256_unpacklo_epi32(v[0], v[1]);
+    const __m256i t1 = _mm256_unpackhi_epi32(v[0], v[1]);
+    const __m256i t2 = _mm256_unpacklo_epi32(v[2], v[3]);
+    const __m256i t3 = _mm256_unpackhi_epi32(v[2], v[3]);
+    // u[q] holds pairs q (low lane) and q + 4 (high lane), rows 0..3 each.
+    const __m256i u0 = _mm256_unpacklo_epi64(t0, t2);
+    const __m256i u1 = _mm256_unpackhi_epi64(t0, t2);
+    const __m256i u2 = _mm256_unpacklo_epi64(t1, t3);
+    const __m256i u3 = _mm256_unpackhi_epi64(t1, t3);
+    auto* o = reinterpret_cast<__m256i*>(block + p * kR * 2);
+    _mm256_storeu_si256(o, _mm256_permute2x128_si256(u0, u1, 0x20));
+    _mm256_storeu_si256(o + 1, _mm256_permute2x128_si256(u2, u3, 0x20));
+    _mm256_storeu_si256(o + 2, _mm256_permute2x128_si256(u0, u1, 0x31));
+    _mm256_storeu_si256(o + 3, _mm256_permute2x128_si256(u2, u3, 0x31));
+  }
+  pack_block_scalar(w, rows, k, shift, row0, p, block);
+}
+
+// Panel strip: per tap, the 16 column values as one vector: one load for a
+// strip that is a single run, else one load and blend per run.
+struct PanelRun {
+  std::int64_t base;  ///< cols[j0] - j0: lane j reads src[base + j + tap]
+  __m256i lanes;      ///< int16 lanes [j0, j1) set
+};
+
+__attribute__((target("avx2"))) inline __m256i panel_tap(
+    const std::int16_t* src, const PanelRun* runs, int nruns, bool whole,
+    std::int64_t tap) noexcept {
+  if (whole) {
+    return _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(src + runs[0].base + tap));
+  }
+  __m256i v = _mm256_setzero_si256();
+  for (int r = 0; r < nruns; ++r) {
+    const __m256i x = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(src + runs[r].base + tap));
+    v = _mm256_blendv_epi8(v, x, runs[r].lanes);
+  }
+  return v;
+}
+
+__attribute__((target("avx2"))) void panel_strip_avx2(
+    const std::int16_t* src, const std::int64_t* cols,
+    const std::int64_t* taps, std::int64_t ntaps, std::int16_t* out) noexcept {
+  PanelRun runs[kStrip];
+  int nruns = 0;
+  const __m256i iota = _mm256_setr_epi16(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,
+                                         12, 13, 14, 15);
+  for (int j = 0; j < kStrip;) {
+    if (cols[j] < 0) {
+      ++j;
+      continue;
+    }
+    const int j0 = j;
+    while (j + 1 < kStrip && cols[j + 1] == cols[j] + 1) ++j;
+    ++j;
+    runs[nruns++] = PanelRun{
+        cols[j0] - j0,
+        _mm256_and_si256(
+            _mm256_cmpgt_epi16(iota, _mm256_set1_epi16(static_cast<std::int16_t>(j0 - 1))),
+            _mm256_cmpgt_epi16(_mm256_set1_epi16(static_cast<std::int16_t>(j)), iota))};
+  }
+  const bool whole = nruns == 1 && cols[0] >= 0 && cols[kStrip - 1] >= 0;
+  const std::int64_t kpairs = ceil_div(ntaps, std::int64_t{2});
+  for (std::int64_t p = 0; p < kpairs; ++p, out += kPairStride) {
+    const __m256i even = panel_tap(src, runs, nruns, whole, taps[2 * p]);
+    const __m256i odd = 2 * p + 1 < ntaps
+                            ? panel_tap(src, runs, nruns, whole, taps[2 * p + 1])
+                            : _mm256_setzero_si256();
+    // unpack gives columns 0-3 | 8-11 and 4-7 | 12-15; the lane permutes
+    // put them in column order.
+    const __m256i lo = _mm256_unpacklo_epi16(even, odd);
+    const __m256i hi = _mm256_unpackhi_epi16(even, odd);
+    auto* o = reinterpret_cast<__m256i*>(out);
+    _mm256_storeu_si256(o, _mm256_permute2x128_si256(lo, hi, 0x20));
+    _mm256_storeu_si256(o + 1, _mm256_permute2x128_si256(lo, hi, 0x31));
+  }
+}
+
 /// Row blocks of kR (the last padded by repeating its final row, whose
 /// sums are dropped) x activation groups of up to kMaxNa; each row block
 /// streams from memory once and serves every group from cache.
@@ -344,6 +473,39 @@ void gemm_tile(common::SimdLevel level, const std::int16_t* w,
   (void)chunk;
 #endif
   gemm_tile_scalar(w, panel, strip_stride, nstrips, kpairs, out, ldo);
+}
+
+void pack_weights(common::SimdLevel level, const std::int16_t* w,
+                  std::int64_t rows, std::int64_t k, int pw,
+                  std::int16_t* out) noexcept {
+  const int shift = static_cast<int>(kBasePrecision) - pw;
+  const std::int64_t block_len = ceil_div(k, std::int64_t{2}) * kR * 2;
+#if defined(LOOM_MADD_X86)
+  if (std::min(level, common::hardware_simd_level()) >= common::SimdLevel::kAvx2) {
+    for (std::int64_t row0 = 0; row0 < rows; row0 += kR, out += block_len) {
+      pack_block_avx2(w, rows, k, shift, row0, out);
+    }
+    return;
+  }
+#else
+  (void)level;
+#endif
+  for (std::int64_t row0 = 0; row0 < rows; row0 += kR, out += block_len) {
+    pack_block_scalar(w, rows, k, shift, row0, 0, out);
+  }
+}
+
+void panel_strip(common::SimdLevel level, const std::int16_t* src,
+                 const std::int64_t* cols, const std::int64_t* taps,
+                 std::int64_t ntaps, std::int16_t* out) noexcept {
+#if defined(LOOM_MADD_X86)
+  if (std::min(level, common::hardware_simd_level()) >= common::SimdLevel::kAvx2) {
+    return panel_strip_avx2(src, cols, taps, ntaps, out);
+  }
+#else
+  (void)level;
+#endif
+  panel_strip_scalar(src, cols, taps, ntaps, out);
 }
 
 void gemv(common::SimdLevel level, const std::int16_t* w, std::int64_t rows,
@@ -421,20 +583,54 @@ inline std::int16_t lo_byte(std::int32_t a) noexcept {
 }
 constexpr std::int64_t kByteMax = 255;  ///< max |hi|, |lo| of a split operand
 
-/// Window geometry of one panel column on the batch-concatenated axis.
-struct Column {
-  const Value* input;  ///< the column's request tensor
-  std::int32_t iy0, ix0;  ///< top-left input coordinate of its window
+/// Geometry of one staged input channel: hp zero-padded rows, each split
+/// into `stride` phases of wq values, phase ph holding the padded row's
+/// x = xq * stride + ph - pad.
+struct Staging {
+  std::int64_t in_h, in_w, pad, stride;
+  std::int64_t hp, wq;
 };
 
-/// One K position of the conv window: [ci][ky][kx].
-struct Tap {
-  std::int64_t offset;  ///< ci * in_h * in_w (group-relative channel)
-  std::int32_t ky, kx;
-};
-
-/// Far outside any input: padding columns and K-padding taps read zero.
-constexpr std::int32_t kOutside = INT32_MIN / 4;
+/// Stages one input channel: the masked (kSigned: sign-kept) activation, or
+/// with kSplit its high byte into `dst` and low byte into `dst_lo`; zero
+/// outside the input.
+template <bool kSigned, bool kSplit>
+void stage_plane(const Value* src, const Staging& st, std::uint32_t mask,
+                 std::int16_t* dst, std::int16_t* dst_lo) noexcept {
+  const std::int64_t s = st.stride;
+  const auto put = [&](std::int64_t i, std::int32_t a) {
+    if constexpr (kSplit) {
+      dst[i] = hi_byte(a);
+      dst_lo[i] = lo_byte(a);
+    } else {
+      dst[i] = static_cast<std::int16_t>(a);
+    }
+  };
+  for (std::int64_t yp = 0; yp < st.hp; ++yp) {
+    const std::int64_t y = yp - st.pad;
+    for (std::int64_t ph = 0; ph < s; ++ph) {
+      const std::int64_t row = (yp * s + ph) * st.wq;
+      // [x0, x1) of this phase lies inside the input row.
+      std::int64_t x0 = 0;
+      std::int64_t x1 = 0;
+      if (y >= 0 && y < st.in_h) {
+        x0 = std::min(st.wq, ceil_div(std::max<std::int64_t>(st.pad - ph, 0), s));
+        x1 = std::max(x0, std::min(st.wq, ceil_div(std::max<std::int64_t>(
+                                                        st.in_w + st.pad - ph, 0),
+                                                    s)));
+      }
+      const std::int64_t at = y * st.in_w + ph - st.pad;  // src index of xq = 0
+      for (std::int64_t xq = 0; xq < x0; ++xq) put(row + xq, 0);
+      for (std::int64_t xq = x0; xq < x1; ++xq) {
+        const Value raw = src[at + xq * s];
+        put(row + xq, kSigned ? static_cast<std::int32_t>(raw)
+                              : static_cast<std::int32_t>(
+                                    static_cast<std::uint16_t>(raw) & mask));
+      }
+      for (std::int64_t xq = x1; xq < st.wq; ++xq) put(row + xq, 0);
+    }
+  }
+}
 
 }  // namespace
 
@@ -470,10 +666,8 @@ ConvStats MaddEngine::run_conv_batch(
   const std::int64_t n_rb = ceil_div(cog, std::int64_t{kRowBlock});
   const std::int64_t in_h = layer.in.h;
   const std::int64_t in_w = layer.in.w;
-  const std::int64_t group_offset = layer.group_in_channels() * in_h * in_w;
 
   const int pw = spec.weight_precision;
-  const int wshift = static_cast<int>(kBasePrecision) - pw;
   const std::int64_t max_w = std::int64_t{1} << (pw - 1);
   const std::int64_t max_a = spec.act_signed
                                  ? std::int64_t{1} << 15
@@ -491,133 +685,143 @@ ConvStats MaddEngine::run_conv_batch(
   // Weights: every group's rows in kRowBlock register blocks, sign-extended
   // from Pw, zero-padded in rows and K.
   const std::int64_t block_len = kpairs * kRowBlock * 2;
-  std::vector<std::int16_t> wpack(
+  const auto wpack = std::make_unique_for_overwrite<std::int16_t[]>(
       static_cast<std::size_t>(layer.groups * n_rb * block_len));
-  const Value* wsrc = weights.data().data();
   striped(jobs, layer.groups * n_rb, [&](std::int64_t lo, std::int64_t hi) {
     for (std::int64_t b = lo; b < hi; ++b) {
       const std::int64_t g = b / n_rb;
       const std::int64_t row0 = (b % n_rb) * kRowBlock;
-      std::int16_t* dst = wpack.data() + b * block_len;
-      for (int r = 0; r < kRowBlock; ++r) {
-        const bool live = row0 + r < cog;
-        const Value* src = wsrc + (g * cog + row0 + r) * inner;
-        for (std::int64_t k = 0; k < 2 * kpairs; ++k) {
-          dst[((k >> 1) * kRowBlock + r) * 2 + (k & 1)] =
-              live && k < inner
-                  ? static_cast<std::int16_t>(
-                        madd_kernels::sext_shift(src[k], wshift))
-                  : std::int16_t{0};
+      madd_kernels::pack_weights(
+          simd_, weights.data().data() + (g * cog + row0) * inner,
+          std::min<std::int64_t>(kRowBlock, cog - row0), inner, pw,
+          wpack.get() + b * block_len);
+    }
+  });
+
+  // The staged activations the panels read (see the file comment), with
+  // kStrip values of zeroed slack at both ends for the strip's run loads; a
+  // split run stages the high bytes, then the low bytes.
+  const Staging st{.in_h = in_h,
+                   .in_w = in_w,
+                   .pad = layer.pad,
+                   .stride = layer.stride,
+                   .hp = (layer.out.h - 1) * layer.stride + layer.kernel_h,
+                   .wq = ceil_div((layer.out.w - 1) * layer.stride + layer.kernel_w,
+                                  std::int64_t{layer.stride})};
+  const std::int64_t row_len = st.stride * st.wq;
+  const std::int64_t plane = st.hp * row_len;
+  const std::int64_t request_len = layer.in.c * plane;
+  const std::int64_t staged_len = static_cast<std::int64_t>(inputs.size()) * request_len;
+  const std::int64_t halves = split ? 2 : 1;
+  const auto staged_buf = std::make_unique_for_overwrite<std::int16_t[]>(
+      static_cast<std::size_t>(halves * staged_len + 2 * kStrip));
+  std::int16_t* staged = staged_buf.get() + kStrip;
+  std::int16_t* staged_lo = split ? staged + staged_len : nullptr;
+  std::fill_n(staged_buf.get(), kStrip, std::int16_t{0});
+  std::fill_n(staged + halves * staged_len, kStrip, std::int16_t{0});
+  const auto stage = spec.act_signed
+                         ? (split ? stage_plane<true, true> : stage_plane<true, false>)
+                         : (split ? stage_plane<false, true> : stage_plane<false, false>);
+  striped(jobs, static_cast<std::int64_t>(inputs.size()) * layer.in.c,
+          [&](std::int64_t lo, std::int64_t hi) {
+            for (std::int64_t p = lo; p < hi; ++p) {
+              stage(inputs[static_cast<std::size_t>(p / layer.in.c)]->data().data() +
+                        (p % layer.in.c) * in_h * in_w,
+                    st, act_mask, staged + p * plane,
+                    split ? staged_lo + p * plane : nullptr);
+            }
+          });
+
+  // Tap k = [ci][ky][kx] of a group reads its phase-split row at this
+  // offset from the column's base.
+  const std::int64_t khw = std::int64_t{layer.kernel_h} * layer.kernel_w;
+  std::vector<std::int64_t> taps(static_cast<std::size_t>(inner));
+  for (std::int64_t k = 0; k < inner; ++k) {
+    const std::int64_t kx = k % layer.kernel_w;
+    taps[static_cast<std::size_t>(k)] =
+        ((k / khw) * st.hp + (k % khw) / layer.kernel_w) * row_len +
+        (kx % st.stride) * st.wq + kx / st.stride;
+  }
+
+  // One striped pass over (group, tile, row block) tasks. Each worker builds
+  // the panel of its current tile ([strip][pair][column][2], 64-byte aligned
+  // strips; a split run keeps the high bytes in `panel`, the low bytes in
+  // `panel_lo`) in its own buffer when its task range reaches a new tile,
+  // and runs every row block of that tile against it while it is in cache.
+  // Every panel value (padding columns and the K tail included) is written.
+  const std::int64_t strip_stride = kpairs * kStrip * 2;
+  const std::int64_t tile_panel = kTileStrips * strip_stride;  // a multiple of 32
+  const std::int64_t group_offset = layer.group_in_channels() * plane;
+  constexpr std::int64_t kTileCols = std::int64_t{kTileStrips} * kStrip;
+  striped(jobs, layer.groups * n_tiles * n_rb, [&](std::int64_t lo, std::int64_t hi) {
+    const auto panel_buf = std::make_unique_for_overwrite<std::int16_t[]>(
+        static_cast<std::size_t>(halves * tile_panel + 32));
+    const auto addr = reinterpret_cast<std::uintptr_t>(panel_buf.get());
+    std::int16_t* panel =
+        panel_buf.get() + ((64 - addr % 64) % 64) / sizeof(std::int16_t);
+    std::int16_t* panel_lo = split ? panel + tile_panel : nullptr;
+    std::int64_t built = -1;  // the (group, tile) now in `panel`
+    alignas(64) std::int64_t tile[kRowBlock * kTileCols];
+    alignas(64) std::int64_t tile_lo[kRowBlock * kTileCols];
+    for (std::int64_t t = lo; t < hi; ++t) {
+      const std::int64_t gt = t / n_rb;
+      const std::int64_t g = gt / n_tiles;
+      const std::int64_t s0 = (gt % n_tiles) * kTileStrips;
+      const std::int64_t rb = t % n_rb;
+      const int ns = static_cast<int>(
+          std::min<std::int64_t>(kTileStrips, n_strips - s0));
+      if (gt != built) {
+        for (int i = 0; i < ns; ++i) {
+          std::int64_t cols[kStrip];
+          for (int j = 0; j < kStrip; ++j) {
+            const std::int64_t n = (s0 + i) * kStrip + j;
+            const std::int64_t w = n % windows;
+            cols[j] = n < total ? (n / windows) * request_len +
+                                      (w / layer.out.w) * layer.stride * row_len +
+                                      w % layer.out.w
+                                : -1;
+          }
+          madd_kernels::panel_strip(simd_, staged + g * group_offset, cols,
+                                    taps.data(), inner, panel + i * strip_stride);
+          if (split) {
+            madd_kernels::panel_strip(simd_, staged_lo + g * group_offset, cols,
+                                      taps.data(), inner,
+                                      panel_lo + i * strip_stride);
+          }
+        }
+        built = gt;
+      }
+      const std::int16_t* wb = wpack.get() + (g * n_rb + rb) * block_len;
+      madd_kernels::gemm_tile(simd_, wb, panel, strip_stride, ns, kpairs, chunk,
+                              tile, kTileCols);
+      if (split) {
+        madd_kernels::gemm_tile(simd_, wb, panel_lo, strip_stride, ns, kpairs,
+                                chunk, tile_lo, kTileCols);
+        for (std::int64_t r = 0; r < kRowBlock; ++r) {
+          for (std::int64_t c = 0; c < ns * kStrip; ++c) {
+            const std::int64_t i = r * kTileCols + c;
+            tile[i] = tile[i] * 256 + tile_lo[i];
+          }
+        }
+      }
+      // Demux: each tile row's columns split into per-request segments.
+      const std::int64_t c0 = s0 * kStrip;
+      const std::int64_t c1 = std::min(total, c0 + ns * kStrip);
+      const std::int64_t rows = std::min<std::int64_t>(kRowBlock, cog - rb * kRowBlock);
+      for (std::int64_t r = 0; r < rows; ++r) {
+        const std::int64_t co = g * cog + rb * kRowBlock + r;
+        for (std::int64_t c = c0; c < c1;) {
+          const std::int64_t w0 = c % windows;
+          const std::int64_t seg = std::min(c1 - c, windows - w0);
+          std::memcpy(wides[static_cast<std::size_t>(c / windows)]->data().data() +
+                          co * windows + w0,
+                      tile + r * kTileCols + (c - c0),
+                      static_cast<std::size_t>(seg) * sizeof(std::int64_t));
+          c += seg;
         }
       }
     }
   });
-
-  // Column and tap geometry, shared by every group's panel.
-  std::vector<Column> columns(static_cast<std::size_t>(n_strips * kStrip),
-                              Column{inputs[0]->data().data(), kOutside, kOutside});
-  for (std::int64_t n = 0; n < total; ++n) {
-    const std::int64_t w = n % windows;
-    columns[static_cast<std::size_t>(n)] = Column{
-        inputs[static_cast<std::size_t>(n / windows)]->data().data(),
-        static_cast<std::int32_t>((w / layer.out.w) * layer.stride - layer.pad),
-        static_cast<std::int32_t>((w % layer.out.w) * layer.stride - layer.pad)};
-  }
-  const std::int64_t khw = std::int64_t{layer.kernel_h} * layer.kernel_w;
-  std::vector<Tap> taps(static_cast<std::size_t>(2 * kpairs),
-                        Tap{0, kOutside, kOutside});
-  for (std::int64_t k = 0; k < inner; ++k) {
-    taps[static_cast<std::size_t>(k)] =
-        Tap{(k / khw) * in_h * in_w,
-            static_cast<std::int32_t>((k % khw) / layer.kernel_w),
-            static_cast<std::int32_t>(k % layer.kernel_w)};
-  }
-
-  // Panels: [strip][pair][column][2], 64-byte aligned strips; a split run
-  // keeps the high bytes in `panel` and the low bytes in `panel_lo`.
-  const std::int64_t strip_stride = kpairs * kStrip * 2;
-  const auto panel_len = static_cast<std::size_t>(n_strips * strip_stride);
-  std::vector<std::int16_t> panel_buf(panel_len + 32);
-  std::vector<std::int16_t> panel_lo_buf(split ? panel_len + 32 : 0);
-  const auto align64 = [](std::vector<std::int16_t>& v) {
-    const auto addr = reinterpret_cast<std::uintptr_t>(v.data());
-    return v.data() + ((64 - addr % 64) % 64) / sizeof(std::int16_t);
-  };
-  std::int16_t* panel = align64(panel_buf);
-  std::int16_t* panel_lo = split ? align64(panel_lo_buf) : nullptr;
-
-  constexpr std::int64_t kTileCols = std::int64_t{kTileStrips} * kStrip;
-  for (std::int64_t g = 0; g < layer.groups; ++g) {
-    striped(jobs, n_strips, [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t s = lo; s < hi; ++s) {
-        const Column* cs = columns.data() + s * kStrip;
-        for (std::int64_t k = 0; k < 2 * kpairs; ++k) {
-          const Tap& t = taps[static_cast<std::size_t>(k)];
-          const std::int64_t at = s * strip_stride + (k >> 1) * kStrip * 2 + (k & 1);
-          for (int j = 0; j < kStrip; ++j) {
-            const std::int32_t iy = cs[j].iy0 + t.ky;
-            const std::int32_t ix = cs[j].ix0 + t.kx;
-            std::int32_t a = 0;
-            if (static_cast<std::uint32_t>(iy) < static_cast<std::uint32_t>(in_h) &&
-                static_cast<std::uint32_t>(ix) < static_cast<std::uint32_t>(in_w)) {
-              const auto raw = static_cast<std::uint16_t>(
-                  cs[j].input[g * group_offset + t.offset + iy * in_w + ix]);
-              a = spec.act_signed ? static_cast<std::int16_t>(raw)
-                                  : static_cast<std::int32_t>(raw & act_mask);
-            }
-            if (split) {
-              panel[at + 2 * j] = hi_byte(a);
-              panel_lo[at + 2 * j] = lo_byte(a);
-            } else {
-              panel[at + 2 * j] = static_cast<std::int16_t>(a);
-            }
-          }
-        }
-      }
-    });
-
-    striped(jobs, n_tiles * n_rb, [&](std::int64_t lo, std::int64_t hi) {
-      alignas(64) std::int64_t tile[kRowBlock * kTileCols];
-      alignas(64) std::int64_t tile_lo[kRowBlock * kTileCols];
-      for (std::int64_t t = lo; t < hi; ++t) {
-        const std::int64_t s0 = (t / n_rb) * kTileStrips;
-        const std::int64_t rb = t % n_rb;
-        const int ns = static_cast<int>(
-            std::min<std::int64_t>(kTileStrips, n_strips - s0));
-        const std::int16_t* wb = wpack.data() + (g * n_rb + rb) * block_len;
-        madd_kernels::gemm_tile(simd_, wb, panel + s0 * strip_stride,
-                                strip_stride, ns, kpairs, chunk, tile,
-                                kTileCols);
-        if (split) {
-          madd_kernels::gemm_tile(simd_, wb, panel_lo + s0 * strip_stride,
-                                  strip_stride, ns, kpairs, chunk, tile_lo,
-                                  kTileCols);
-          for (std::int64_t r = 0; r < kRowBlock; ++r) {
-            for (std::int64_t c = 0; c < ns * kStrip; ++c) {
-              const std::int64_t i = r * kTileCols + c;
-              tile[i] = tile[i] * 256 + tile_lo[i];
-            }
-          }
-        }
-        // Demux: each tile row's columns split into per-request segments.
-        const std::int64_t c0 = s0 * kStrip;
-        const std::int64_t c1 = std::min(total, c0 + ns * kStrip);
-        const std::int64_t rows = std::min<std::int64_t>(kRowBlock, cog - rb * kRowBlock);
-        for (std::int64_t r = 0; r < rows; ++r) {
-          const std::int64_t co = g * cog + rb * kRowBlock + r;
-          for (std::int64_t c = c0; c < c1;) {
-            const std::int64_t w0 = c % windows;
-            const std::int64_t seg = std::min(c1 - c, windows - w0);
-            std::memcpy(wides[static_cast<std::size_t>(c / windows)]->data().data() +
-                            co * windows + w0,
-                        tile + r * kTileCols + (c - c0),
-                        static_cast<std::size_t>(seg) * sizeof(std::int64_t));
-            c += seg;
-          }
-        }
-      }
-    });
-  }
   return stats;
 }
 
@@ -644,36 +848,43 @@ void MaddEngine::run_fc_batch(const nn::Layer& layer,
   const std::int64_t act_stride =
       ceil_div(ci, madd_kernels::kActPad) * madd_kernels::kActPad;
   const int nacts = static_cast<int>(batch * (split ? 2 : 1));
-  std::vector<std::int16_t> acts(static_cast<std::size_t>(nacts * act_stride), 0);
+  const auto acts = std::make_unique_for_overwrite<std::int16_t[]>(
+      static_cast<std::size_t>(nacts * act_stride));
   for (std::int64_t b = 0; b < batch; ++b) {
     const Value* in = inputs[static_cast<std::size_t>(b)]->data().data();
     if (split) {
-      std::int16_t* hi = acts.data() + 2 * b * act_stride;
+      std::int16_t* hi = acts.get() + 2 * b * act_stride;
       std::int16_t* lo = hi + act_stride;
       for (std::int64_t i = 0; i < ci; ++i) {
         hi[i] = hi_byte(in[i]);
         lo[i] = lo_byte(in[i]);
       }
     } else {
-      std::memcpy(acts.data() + b * act_stride, in,
+      std::memcpy(acts.get() + b * act_stride, in,
                   static_cast<std::size_t>(ci) * sizeof(Value));
     }
   }
+  for (int j = 0; j < nacts; ++j) {
+    std::fill(acts.get() + j * act_stride + ci, acts.get() + (j + 1) * act_stride,
+              std::int16_t{0});
+  }
 
-  std::vector<std::int64_t> out(static_cast<std::size_t>(co_n * nacts));
+  // Every (row, activation row) sum is written by the GEMV.
+  const auto out = std::make_unique_for_overwrite<std::int64_t[]>(
+      static_cast<std::size_t>(co_n * nacts));
   const std::int64_t n_rb = ceil_div(co_n, std::int64_t{kRowBlock});
   striped(resolve_jobs(opts_.jobs), n_rb, [&](std::int64_t lo, std::int64_t hi) {
     const std::int64_t r0 = lo * kRowBlock;
     const std::int64_t r1 = std::min(co_n, hi * kRowBlock);
     madd_kernels::gemv(simd_, weights.data().data() + r0 * ci, r1 - r0, ci,
-                       weight_precision, acts.data(), act_stride, nacts, chunk,
-                       out.data() + r0 * nacts);
+                       weight_precision, acts.get(), act_stride, nacts, chunk,
+                       out.get() + r0 * nacts);
   });
 
   for (std::int64_t b = 0; b < batch; ++b) {
     nn::WideTensor& wide = *wides[static_cast<std::size_t>(b)];
     for (std::int64_t co = 0; co < co_n; ++co) {
-      const std::int64_t* o = out.data() + co * nacts;
+      const std::int64_t* o = out.get() + co * nacts;
       wide.set_flat(co, split ? o[2 * b] * 256 + o[2 * b + 1] : o[b]);
     }
   }

@@ -18,10 +18,17 @@
 // Conv: per conv group, an im2col panel of the masked int16 activations over
 // the batch-concatenated window axis, cut into strips of kStrip columns and
 // K-pair-interleaved ([strip][pair][column][2]) so one vector load feeds one
-// `vpmaddwd` per broadcast weight pair. Weights are packed per call,
-// sign-extended and K-padded, into kRowBlock-row register blocks
-// ([block][pair][row][2]). A register-blocked tile kernel is striped over
-// the shared pool.
+// `vpmaddwd` per broadcast weight pair. The panel reads a staged copy of the
+// batch's activations: masked (or sign-kept, or split, see below) once per
+// value, zero-padded to the windows' extent and split per row into `stride`
+// phases (x mod stride), so the values one tap reads for the windows of one
+// output row are a contiguous run at any stride, and a strip costs one
+// vector load per tap and run (row segment) of its columns, with no bounds
+// test. Weights are packed per call, sign-extended and K-padded, into
+// kRowBlock-row register blocks ([block][pair][row][2]). One striped pass
+// over every group's (tile, row block) pairs then builds each tile's panel
+// in a per-worker buffer and runs a register-blocked tile kernel against it
+// while it is in cache; no whole-layer panel is materialized.
 //
 // FC: a GEMV (a GEMM when the batch has several requests) that reads the
 // int16 weight rows in place and sign-extends them from Pw in registers
@@ -35,7 +42,9 @@
 // the two halves run as separate operands recombined in int64.
 //
 // Tiers: scalar, AVX2 and AVX-512BW behind common::simd_level(). All are
-// exact, so every tier writes byte-identical accumulators.
+// exact, so every tier writes byte-identical accumulators. The panel strip
+// and weight pack are load/store bound data movement; the AVX-512 tier runs
+// their AVX2 code.
 #pragma once
 
 #include <cstdint>
@@ -77,6 +86,26 @@ void gemm_tile(common::SimdLevel level, const std::int16_t* w,
                const std::int16_t* panel, std::int64_t strip_stride,
                int nstrips, std::int64_t kpairs, std::int64_t chunk,
                std::int64_t* out, std::int64_t ldo) noexcept;
+
+/// Packs weight rows into conv register blocks: for each block b of
+/// kRowBlock rows, out[b * kpairs * kRowBlock * 2 + (p * kRowBlock + r) * 2 + h]
+/// = sext_pw(w[(b * kRowBlock + r) * k + 2 * p + h]), with kpairs =
+/// ceil(k / 2), and zero for rows >= `rows` (the last block's dead rows) and
+/// for the K tail 2 * p + h >= k. Every output value is written.
+void pack_weights(common::SimdLevel level, const std::int16_t* w,
+                  std::int64_t rows, std::int64_t k, int pw,
+                  std::int16_t* out) noexcept;
+
+/// One im2col panel strip: for taps t < ntaps and columns j < kStrip,
+///   out[((t / 2) * kStrip + j) * 2 + t % 2] =
+///       cols[j] < 0 ? 0 : src[cols[j] + taps[t]],
+/// and zero for the tail tap t = ntaps when ntaps is odd. Columns whose
+/// cols[] are consecutive form a run that one vector load per tap reads:
+/// src must be readable kStrip values before its lowest and after its
+/// highest indexed value (reads outside a run are discarded).
+void panel_strip(common::SimdLevel level, const std::int16_t* src,
+                 const std::int64_t* cols, const std::int64_t* taps,
+                 std::int64_t ntaps, std::int16_t* out) noexcept;
 
 /// FC rows: out[r * nacts + j] = sum over i < k of
 ///   sext_pw(w[r * k + i]) * acts[j * act_stride + i]

@@ -206,6 +206,102 @@ TEST(MaddKernels, GemvTiersAgreeOnRaggedShapes) {
   }
 }
 
+TEST(MaddKernels, PackWeightsTiersAgreeOnRaggedShapes) {
+  using madd_kernels::kRowBlock;
+  for (const std::int64_t k : {1, 2, 15, 16, 17, 31, 33, 100, 363}) {
+    for (const std::int64_t rows : {1, 3, 4, 5, 8, 9}) {
+      for (const int pw : {1, 9, 11, 16}) {
+        // Raw weights carry bits above Pw: the pack must sign-extend from Pw.
+        const auto w = random_i16(static_cast<std::size_t>(rows * k), -32768,
+                                  32767, static_cast<std::uint64_t>(k * 31 + rows + pw));
+        const std::int64_t kpairs = ceil_div(k, std::int64_t{2});
+        const std::int64_t blocks = ceil_div(rows, std::int64_t{kRowBlock});
+        std::vector<std::int16_t> want(
+            static_cast<std::size_t>(blocks * kpairs * kRowBlock * 2));
+        for (std::int64_t b = 0; b < blocks; ++b) {
+          for (std::int64_t p = 0; p < kpairs; ++p) {
+            for (int r = 0; r < kRowBlock; ++r) {
+              for (int h = 0; h < 2; ++h) {
+                const std::int64_t row = b * kRowBlock + r;
+                const std::int64_t i = 2 * p + h;
+                std::int64_t v = 0;
+                if (row < rows && i < k) {
+                  const auto u = static_cast<std::uint16_t>(
+                                     w[static_cast<std::size_t>(row * k + i)]) &
+                                 ((1u << pw) - 1);
+                  v = (u >> (pw - 1)) ? std::int64_t{u} - (std::int64_t{1} << pw) : u;
+                }
+                want[static_cast<std::size_t>(
+                    ((b * kpairs + p) * kRowBlock + r) * 2 + h)] =
+                    static_cast<std::int16_t>(v);
+              }
+            }
+          }
+        }
+        for (const SimdLevel level : kTiers) {
+          // Pre-filled with garbage: every output value must be written.
+          std::vector<std::int16_t> got(want.size(), 0x5A5A);
+          madd_kernels::pack_weights(level, w.data(), rows, k, pw, got.data());
+          EXPECT_EQ(got, want) << common::simd_level_name(level) << " k " << k
+                               << " rows " << rows << " pw " << pw;
+        }
+      }
+    }
+  }
+}
+
+TEST(MaddKernels, PanelStripTiersAgreeOnEveryRunPattern) {
+  using madd_kernels::kStrip;
+  constexpr std::int64_t kSlack = kStrip;
+  constexpr std::int64_t kSrc = 600;
+  const auto buf = random_i16(static_cast<std::size_t>(kSrc + 2 * kSlack),
+                              -32768, 32767, 41);
+  const std::int16_t* src = buf.data() + kSlack;
+  // Column patterns: one whole run, runs split at every position, padding
+  // columns (-1) at the end and in the middle, single-column runs, a run
+  // that restarts at a lower index (a request boundary), all padding.
+  std::vector<std::vector<std::int64_t>> patterns;
+  std::vector<std::int64_t> cols(kStrip);
+  for (int j = 0; j < kStrip; ++j) cols[j] = 100 + j;
+  patterns.push_back(cols);
+  for (int cut = 1; cut < kStrip; ++cut) {
+    for (int j = cut; j < kStrip; ++j) cols[j] = 300 + j;
+    patterns.push_back(cols);
+    for (int j = cut; j < kStrip; ++j) cols[j] = -1;
+    patterns.push_back(cols);
+    for (int j = 0; j < kStrip; ++j) cols[j] = 100 + j;
+  }
+  for (int j = 0; j < kStrip; ++j) cols[j] = 7 * j + (j % 3 == 0 ? -1 - 7 * j : 0);
+  patterns.push_back(cols);
+  for (int j = 0; j < kStrip; ++j) cols[j] = j < 9 ? 250 + j : j - 9;
+  patterns.push_back(cols);
+  patterns.push_back(std::vector<std::int64_t>(kStrip, -1));
+  for (const std::int64_t ntaps : {1, 2, 7, 24, 25}) {
+    std::vector<std::int64_t> taps(static_cast<std::size_t>(ntaps));
+    for (std::int64_t t = 0; t < ntaps; ++t) taps[static_cast<std::size_t>(t)] = (t * 37) % 250;
+    const std::int64_t kpairs = ceil_div(ntaps, std::int64_t{2});
+    for (const auto& pattern : patterns) {
+      std::vector<std::int16_t> want(static_cast<std::size_t>(kpairs * kStrip * 2));
+      for (std::int64_t t = 0; t < 2 * kpairs; ++t) {
+        for (int j = 0; j < kStrip; ++j) {
+          want[static_cast<std::size_t>(((t / 2) * kStrip + j) * 2 + t % 2)] =
+              t < ntaps && pattern[j] >= 0
+                  ? src[pattern[j] + taps[static_cast<std::size_t>(t)]]
+                  : std::int16_t{0};
+        }
+      }
+      for (const SimdLevel level : kTiers) {
+        std::vector<std::int16_t> got(want.size(), 0x5A5A);
+        madd_kernels::panel_strip(level, src, pattern.data(), taps.data(), ntaps,
+                                  got.data());
+        ASSERT_EQ(got, want) << common::simd_level_name(level) << " ntaps "
+                             << ntaps << " first cols " << pattern[0] << ","
+                             << pattern[1];
+      }
+    }
+  }
+}
+
 // ---- Engine edges ---------------------------------------------------------
 
 TEST(MaddEngine, RaggedConvBatchMatchesReference) {
@@ -356,6 +452,98 @@ TEST(MaddEngine, BitsAboveProfileAreOredRawButMaskedInTheSum) {
   const nn::Tensor* masked_in[] = {&masked};
   const auto narrow = conv_stream_stats(layer, masked_in, spec, StatsGrid{});
   EXPECT_LT(narrow.cycles, st.cycles);
+}
+
+/// nn::conv_forward on the activations the spec defines: raw & (2^Pa - 1)
+/// when unsigned (at Pa = 16 the reference reads int16, so 2^16 is added back
+/// per set bit 15), raw when signed.
+nn::WideTensor spec_reference(const nn::Layer& layer, const nn::Tensor& raw,
+                              const nn::Tensor& weights, const SliceSpec& spec) {
+  if (spec.act_signed) return nn::conv_forward(raw, weights, layer);
+  nn::Tensor masked(raw.shape());
+  nn::Tensor msb(raw.shape());
+  for (std::int64_t i = 0; i < raw.elements(); ++i) {
+    const auto u = static_cast<std::uint16_t>(raw.flat(i)) &
+                   ((1u << spec.act_precision) - 1);
+    masked.set_flat(i, static_cast<Value>(u));
+    msb.set_flat(i, static_cast<Value>(u >> 15));
+  }
+  nn::WideTensor want = nn::conv_forward(masked, weights, layer);
+  const nn::WideTensor carry = nn::conv_forward(msb, weights, layer);
+  for (std::int64_t i = 0; i < want.elements(); ++i) {
+    want.set_flat(i, want.flat(i) + 65536 * carry.flat(i));
+  }
+  return want;
+}
+
+TEST(MaddEngine, PanelGeometriesMatchReference) {
+  // Panel strips are runs of one output row of one request, read from the
+  // staged zero-padded, stride-phase-split input: strips that straddle an
+  // output row or a request, stride 4 with pad (conv1's shape), two groups,
+  // odd K, the hi/lo split (Pa = 16 unsigned, DPNN signed) and padding
+  // columns past the last window, each against nn::conv_forward.
+  struct Case {
+    const char* name;
+    nn::Shape3 in;
+    int out_c, kernel, stride, pad, groups, batch;
+    SliceSpec spec;
+  };
+  const SliceSpec u8{.act_precision = 8, .weight_precision = 8,
+                     .act_signed = false, .dynamic = true};
+  const SliceSpec u16{.act_precision = kBasePrecision, .weight_precision = 11,
+                      .act_signed = false, .dynamic = true};
+  const SliceSpec dpnn{.act_precision = kBasePrecision,
+                       .weight_precision = kBasePrecision,
+                       .act_signed = true, .dynamic = false};
+  const Case cases[] = {
+      // 10x10 output: every strip after the first straddles a row.
+      {"row_straddle", {3, 12, 12}, 5, 3, 1, 0, 1, 1, u8},
+      // 9x7 = 63 windows: strips 3, 7 straddle request boundaries.
+      {"request_straddle", {4, 9, 7}, 6, 3, 1, 1, 1, 3, u8},
+      // 16x16 output at stride 4, pad 3: whole-row strips, K = 363 (odd).
+      {"stride4_pad_rows", {3, 67, 67}, 4, 11, 4, 3, 1, 1, u8},
+      // 17x17 output at stride 4, pad 2, batch 2: straddles everywhere.
+      {"stride4_pad_straddle", {3, 71, 71}, 5, 11, 4, 2, 1, 2, u8},
+      {"two_groups", {8, 9, 9}, 6, 3, 1, 1, 2, 2, u8},
+      // K = 25 (odd), out 20x20.
+      {"odd_k", {1, 20, 20}, 3, 5, 1, 2, 1, 1, u8},
+      // Stride 3 > kernel 2: inputs no window reads.
+      {"stride_gt_kernel", {2, 23, 23}, 3, 2, 3, 1, 1, 2, u8},
+      {"split_pa16_unsigned", {5, 18, 18}, 6, 3, 1, 1, 1, 2, u16},
+      {"split_dpnn_signed", {4, 17, 17}, 6, 3, 2, 1, 2, 2, dpnn},
+  };
+  std::uint64_t seed = 60;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const nn::Layer layer = nn::make_conv(c.name, c.in, c.out_c, c.kernel,
+                                          c.stride, c.pad, c.groups);
+    const int pw = c.spec.weight_precision;
+    const nn::Tensor weights =
+        random_tensor(nn::Shape{layer.weight_count()}, -(1 << (pw - 1)),
+                      (1 << (pw - 1)) - 1, ++seed);
+    std::vector<nn::Tensor> inputs;
+    std::vector<nn::WideTensor> wides;
+    for (int r = 0; r < c.batch; ++r) {
+      // Unsigned Pa = 8 inputs carry bits above the profile (masked away).
+      inputs.push_back(random_tensor(nn::Shape{c.in.c, c.in.h, c.in.w}, -32768,
+                                     32767, ++seed));
+      wides.emplace_back(nn::Shape{layer.out.c, layer.out.h, layer.out.w});
+    }
+    std::vector<const nn::Tensor*> in;
+    std::vector<nn::WideTensor*> wide;
+    for (int r = 0; r < c.batch; ++r) {
+      in.push_back(&inputs[static_cast<std::size_t>(r)]);
+      wide.push_back(&wides[static_cast<std::size_t>(r)]);
+    }
+    MaddEngine eng({.jobs = 3});
+    (void)eng.run_conv_batch(layer, in, weights, c.spec, wide);
+    for (int r = 0; r < c.batch; ++r) {
+      SCOPED_TRACE("request " + std::to_string(r));
+      expect_same(wides[static_cast<std::size_t>(r)],
+                  spec_reference(layer, inputs[static_cast<std::size_t>(r)],
+                                 weights, c.spec));
+    }
+  }
 }
 
 TEST(ConvStreamStats, StaticClosedFormMatchesScalarOracle) {
